@@ -16,6 +16,11 @@ Routes:
   which skips the O(n^2) scalar QL loop. The eigenvector is recovered by
   inverse iteration on the tridiagonal matrix and checked against its
   residual; on failure the full solver is the fallback.
+* ``tridiagonal_smallest_three``: the same answer from a tridiagonal matrix
+  that is already known, plus the map from its basis back to the full
+  coordinates. ``smallest_three`` is the Householder reduction followed by
+  this stage; pendant probes (``perturbation.perturbed_fiedler``) reuse one
+  reduction of the base graph and call only this stage.
 """
 from __future__ import annotations
 
@@ -305,10 +310,25 @@ def smallest_three(M: np.ndarray) -> tuple[float, float, float, np.ndarray]:
     the full decomposition is used instead.
     """
     M = _check_input(M)
-    n = M.shape[0]
-    if n < 2:
+    if M.shape[0] < 2:
         raise ValueError("need at least a 2x2 matrix")
     d, e, reflectors = _householder(M)
+    return tridiagonal_smallest_three(d, e, lambda z: _back_transform(z, reflectors), M)
+
+
+def tridiagonal_smallest_three(
+    d: np.ndarray, e: np.ndarray, to_full, M: np.ndarray
+) -> tuple[float, float, float, np.ndarray]:
+    """Second stage of ``smallest_three`` for a tridiagonal T = (d, e) similar to M.
+
+    ``e`` holds the off-diagonal in e[0..n-2] (length n, or n-1), and
+    ``to_full`` maps a vector in T's basis to M's coordinates (an orthogonal
+    change of basis). The eigenvalues come from QL for n <= 80 and from
+    Sturm bisection above; the lambda_2 vector from inverse iteration and a
+    Rayleigh refinement on T. The mapped vector must pass a residual check
+    against M, otherwise the full decomposition of M is used instead.
+    """
+    n = len(d)
     if n <= _STURM_CUTOFF:
         vals, _ = _ql_implicit(d, e, None)
         lam1, lam2 = float(vals[0]), float(vals[1])
@@ -321,7 +341,7 @@ def smallest_three(M: np.ndarray) -> tuple[float, float, float, np.ndarray]:
     Tz[:-1] += e[: n - 1] * z[1:]
     Tz[1:] += e[: n - 1] * z[:-1]
     lam2 = float(np.dot(z, Tz))
-    z = _back_transform(z, reflectors)
+    z = to_full(z)
     z /= math.sqrt(float(np.dot(z, z)))
     residual = float(np.linalg.norm(M @ z - lam2 * z))
     if residual > 1e-11 * max(1.0, float(np.max(np.abs(M))) * n):

@@ -7,6 +7,20 @@ which the pendant dominates; for a complete base graph and large x the
 perturbed lambda2 follows a quadratic-root formula. Both limits are exposed
 here, as is the empirical check that the pendant stays extremal up to some
 anchor-dependent weight threshold.
+
+How a probe is computed. Callers probe one (graph, anchor) pair at many
+weights (bisection for a(v), sweeps, anchoring), so the base Laplacian is
+reduced once per anchor: with v ordered first, P'LP = QTQ' by Householder
+reflections, which never touch coordinate 0, so Q e_0 = e_0. In the basis
+{e_pendant} + PQ the pendant-augmented Laplacian is then tridiagonal of
+order n+1, with diagonal (x, T_00 + x, T_11, ...) and off-diagonal
+(-x, T_01, T_12, ...). A probe runs only the tridiagonal stage of
+``eigen.smallest_three`` on it and maps the vector back with one
+matrix-vector product; the residual against the dense augmented Laplacian,
+with the full eigensolver as fallback, and the post-checks of
+``spectral.fiedler`` apply unchanged. The latest reduction is kept in a
+single-entry memo keyed on the graph object and the anchor.
+``fiedler(attach_pendant(g, v, x))`` computes the same pair from scratch.
 """
 from __future__ import annotations
 
@@ -15,14 +29,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigen import ConvergenceError
-from .graphs import Graph, build_graph
-from .spectral import fiedler
+from .eigen import ConvergenceError, _accumulate_q, _householder, tridiagonal_smallest_three
+from .graphs import Graph, build_graph, laplacian
+from .spectral import FiedlerResult, checked_fiedler, fiedler, rayleigh_edge_sum, require_connected
 
 # relative tolerance for "attains the maximum magnitude"
 EXTREMUM_TIE_TOL = 1e-12
 # additive slack on the Weyl upper bound lambda2(x) <= 2x
 WEYL_SLACK = 1e-10
+
+
+def _check_pendant(g: Graph, v: int, x: float) -> None:
+    if not 0 <= v < g.n:
+        raise ValueError(f"anchor {v} outside range({g.n})")
+    if not (x > 0.0 and math.isfinite(x)):
+        raise ValueError(f"pendant weight must be positive and finite, got {x}")
 
 
 @dataclass(frozen=True)
@@ -34,10 +55,7 @@ class PendantPerturbation:
     x: float
 
     def __post_init__(self) -> None:
-        if not 0 <= self.anchor_v < self.base.n:
-            raise ValueError(f"anchor {self.anchor_v} outside range({self.base.n})")
-        if not (self.x > 0.0 and math.isfinite(self.x)):
-            raise ValueError(f"pendant weight must be positive and finite, got {self.x}")
+        _check_pendant(self.base, self.anchor_v, self.x)
 
     def apply(self) -> Graph:
         n = self.base.n
@@ -60,6 +78,68 @@ class PerturbedFiedler:
     gap: float
 
 
+@dataclass(frozen=True)
+class _AnchorReduction:
+    """Base Laplacian L reduced with anchor v first: P'LP = QTQ', Q e_0 = e_0.
+
+    ``d``/``e`` are T's diagonal and off-diagonal (e[n-1] = 0), and
+    ``basis`` = PQ: its column j is T's j-th basis vector in vertex order.
+    """
+
+    L: np.ndarray
+    d: np.ndarray
+    e: np.ndarray
+    basis: np.ndarray
+
+
+def _reduce_at_anchor(g: Graph, v: int) -> _AnchorReduction:
+    require_connected(g)
+    L = laplacian(g)
+    order = [v] + [u for u in range(g.n) if u != v]
+    d, e, reflectors = _householder(L[np.ix_(order, order)])
+    basis = np.empty((g.n, g.n))
+    basis[order] = _accumulate_q(g.n, reflectors)
+    return _AnchorReduction(L=L, d=d, e=e, basis=basis)
+
+
+# (graph, anchor, reduction) of the latest probe, read and replaced as one tuple
+_last_reduction: tuple[Graph, int, _AnchorReduction] | None = None
+
+
+def _anchor_reduction(g: Graph, v: int) -> _AnchorReduction:
+    global _last_reduction
+    last = _last_reduction
+    if last is not None and last[0] is g and last[1] == v:
+        return last[2]
+    red = _reduce_at_anchor(g, v)
+    _last_reduction = (g, v, red)
+    return red
+
+
+def _pendant_fiedler(g: Graph, v: int, x: float) -> FiedlerResult:
+    """Checked Fiedler pair of g plus the pendant (v, n) of weight x."""
+    red = _anchor_reduction(g, v)
+    n = g.n
+    d = np.concatenate(([x, red.d[0] + x], red.d[1:]))
+    e = np.concatenate(([-x], red.e))
+    M = np.zeros((n + 1, n + 1))
+    M[:n, :n] = red.L
+    M[v, v] += x
+    M[v, n] = M[n, v] = -x
+    M[n, n] = x
+
+    def to_full(z: np.ndarray) -> np.ndarray:
+        return np.append(red.basis @ z[1:], z[0])
+
+    lam1, lam2, lam3, phi = tridiagonal_smallest_three(d, e, to_full, M)
+
+    def edge_sum(p: np.ndarray) -> float:
+        diff = p[v] - p[n]
+        return rayleigh_edge_sum(g, p) + x * diff * diff
+
+    return checked_fiedler(lam1, lam2, lam3, phi, edge_sum, float(np.max(np.abs(M))))
+
+
 def perturbed_fiedler(
     g: Graph, v: int, x: float, tie_tol: float = EXTREMUM_TIE_TOL
 ) -> PerturbedFiedler:
@@ -78,7 +158,9 @@ def perturbed_fiedler(
     if needed so that the pendant entry is nonnegative; otherwise the global
     largest-entry policy from ``fiedler`` stands.
     """
-    res = fiedler(attach_pendant(g, v, x))
+    _check_pendant(g, v, x)
+    x = float(x)
+    res = _pendant_fiedler(g, v, x)
     phi = res.phi
     n = g.n
     maxmag = float(np.max(np.abs(phi)))
@@ -92,7 +174,7 @@ def perturbed_fiedler(
             f"computed lambda2 {res.lambda2!r} violates the bound 2x = {2.0 * x!r}"
         )
     return PerturbedFiedler(
-        x=float(x),
+        x=x,
         lambda2_x=res.lambda2,
         phi_x=phi,
         new_vertex_is_extremum=is_extremum,

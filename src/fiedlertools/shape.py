@@ -24,7 +24,7 @@ import numpy as np
 
 from .fcd import FcdConfig, a_of_v
 from .graphs import Graph, build_graph
-from .perturbation import attach_pendant
+from .perturbation import perturbed_fiedler
 from .spectral import fiedler
 
 GRADIENT_BINS = 64
@@ -491,8 +491,8 @@ def anchored_parameterization(
         x = c * 10.0**cfg.beta
     else:
         x = c * search.a_v
-    res = fiedler(attach_pendant(sg.graph, v, x))
-    psi = res.phi[: sg.graph.n].copy()
+    res = perturbed_fiedler(sg.graph, v, x)
+    psi = res.phi_x[: sg.graph.n].copy()
     psi -= psi.mean()
     psi /= math.sqrt(float(np.dot(psi, psi)))
     if psi[v] < 0.0:

@@ -41,29 +41,35 @@ def _fix_sign(phi: np.ndarray) -> np.ndarray:
 
 def rayleigh_edge_sum(g: Graph, phi: np.ndarray) -> float:
     """Sum of w_uv (phi(u) - phi(v))^2 over edges; equals phi' L phi."""
+    values = np.asarray(phi, dtype=float).tolist()
     total = 0.0
     for u, v, w in g.edges:
-        diff = phi[u] - phi[v]
+        diff = values[u] - values[v]
         total += w * diff * diff
     return total
 
 
-def fiedler(g: Graph) -> FiedlerResult:
-    """Fiedler pair of a connected graph, with deterministic sign and checks.
-
-    The returned lambda2 is cross-checked against the edge-sum Rayleigh
-    quotient of phi; disagreement beyond rounding aborts rather than
-    returning a silently wrong pair.
-    """
-    if g.n < 2:
-        raise ValueError("Fiedler pair needs at least 2 vertices")
+def require_connected(g: Graph) -> None:
+    """Raise DisconnectedGraphError unless g is connected."""
     if not is_connected(g):
         raise DisconnectedGraphError(
             "graph is disconnected: algebraic connectivity is 0 and the "
             "Fiedler vector is not defined"
         )
-    L = laplacian(g)
-    lam1, lam2, lam3, phi = smallest_three(L)
+
+
+def checked_fiedler(
+    lam1: float, lam2: float, lam3: float, phi: np.ndarray, edge_sum, linf: float
+) -> FiedlerResult:
+    """Turn the three smallest Laplacian eigenvalues and a lambda2 vector into a FiedlerResult.
+
+    phi is projected onto the mean-zero subspace and renormalized (a vector
+    that collapses onto the constant kernel vector aborts), its sign is
+    fixed, and lambda2 is cross-checked against ``edge_sum(phi)``, the
+    edge-sum Rayleigh quotient, within rounding scaled by ``linf`` =
+    max|L|. ``gap`` is lambda3 - lambda2.
+    """
+    n = phi.size
     # enforce exact orthogonality to the constant kernel vector, then renormalize
     phi = phi - phi.mean()
     nrm = math.sqrt(float(np.dot(phi, phi)))
@@ -72,9 +78,8 @@ def fiedler(g: Graph) -> FiedlerResult:
             "candidate Fiedler vector collapsed onto the constant kernel vector"
         )
     phi = _fix_sign(phi / nrm)
-    quotient = rayleigh_edge_sum(g, phi)
-    linf = float(np.max(np.abs(L)))
-    if abs(lam2 - quotient) > max(1e-9, 64.0 * np.finfo(float).eps * linf * g.n):
+    quotient = edge_sum(phi)
+    if abs(lam2 - quotient) > max(1e-9, 64.0 * np.finfo(float).eps * linf * n):
         raise ConvergenceError(
             f"Rayleigh quotient {quotient!r} disagrees with eigenvalue {lam2!r}"
         )
@@ -86,6 +91,23 @@ def fiedler(g: Graph) -> FiedlerResult:
         gap=gap,
         lambda1_residual=abs(lam1),
         degenerate=degenerate,
+    )
+
+
+def fiedler(g: Graph) -> FiedlerResult:
+    """Fiedler pair of a connected graph, with deterministic sign and checks.
+
+    The returned lambda2 is cross-checked against the edge-sum Rayleigh
+    quotient of phi; disagreement beyond rounding aborts rather than
+    returning a silently wrong pair.
+    """
+    if g.n < 2:
+        raise ValueError("Fiedler pair needs at least 2 vertices")
+    require_connected(g)
+    L = laplacian(g)
+    lam1, lam2, lam3, phi = smallest_three(L)
+    return checked_fiedler(
+        lam1, lam2, lam3, phi, lambda p: rayleigh_edge_sum(g, p), float(np.max(np.abs(L)))
     )
 
 

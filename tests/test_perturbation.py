@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from fiedlertools import perturbation
 from fiedlertools.eigen import eigvals_sym
-from fiedlertools.graphs import generate, laplacian
+from fiedlertools.graphs import DisconnectedGraphError, build_graph, generate, laplacian
 from fiedlertools.perturbation import (
+    EXTREMUM_TIE_TOL,
     PendantPerturbation,
     attach_pendant,
     complete_graph_large_x,
@@ -15,7 +17,7 @@ from fiedlertools.perturbation import (
     small_x_limit,
     sweep,
 )
-from fiedlertools.spectral import fiedler
+from fiedlertools.spectral import DEGENERATE_GAP, fiedler
 
 
 def test_attach_pendant_path_extension():
@@ -191,3 +193,135 @@ def test_conjecture1_seeded_sample():
         rep = conjecture1_check(g, xs)
         assert rep.holds, rep.counterexamples
         assert rep.anchor_max != rep.anchor_min
+
+
+# ---------------------------------------------------------------------------
+# Differential checks: the per-anchor reduction against the dense route
+# (fiedler on the explicitly augmented graph) and against numpy.linalg.eigh
+
+XS = np.logspace(-3, 3, 7)
+
+
+def _flag(phi, n, tie_tol=EXTREMUM_TIE_TOL):
+    maxmag = float(np.max(np.abs(phi)))
+    oriented = phi if phi[n] >= 0.0 else -phi
+    return bool(oriented[n] >= np.max(oriented[:n]) - tie_tol * maxmag)
+
+
+def _assert_matches_oracles(g, v, x):
+    r = perturbed_fiedler(g, v, x)
+    aug = attach_pendant(g, v, x)
+    dense = fiedler(aug)
+    vals, vecs = np.linalg.eigh(laplacian(aug))
+    for ref in (dense.lambda2, vals[1]):
+        assert abs(r.lambda2_x - ref) <= 1e-10 * abs(ref), (v, x, r.lambda2_x, ref)
+    if r.gap < DEGENERATE_GAP * max(1.0, r.lambda2_x):
+        return r
+    assert r.new_vertex_is_extremum == _flag(dense.phi, g.n), (v, x)
+    assert r.new_vertex_is_extremum == _flag(vecs[:, 1], g.n), (v, x)
+    dist = min(np.linalg.norm(r.phi_x - dense.phi), np.linalg.norm(r.phi_x + dense.phi))
+    assert dist < 1e-8, (v, x, dist)
+    return r
+
+
+def test_probe_matches_dense_route_on_seeded_gnm():
+    for seed, m in ((1, 25), (2, 40), (3, 60), (4, 100), (5, 160)):
+        g = generate("gnm", 20, m, seed=seed)
+        for v in (0, 7, 13, 19):
+            for x in XS:
+                _assert_matches_oracles(g, v, x)
+
+
+@pytest.mark.parametrize(
+    "kind, n, v",
+    [
+        ("path", 9, 8), ("path", 9, 4), ("cycle", 8, 3),
+        ("complete", 6, 2), ("star", 7, 0), ("star", 7, 3),
+    ],
+)
+def test_probe_matches_dense_route_on_named_graphs(kind, n, v):
+    g = generate(kind, n)
+    for x in XS:
+        _assert_matches_oracles(g, v, x)
+
+
+def test_probe_star_center_unit_weight_is_degenerate():
+    # lambda2 = 1 is repeated there, so the flag depends on the basis chosen
+    r = perturbed_fiedler(generate("star", 7), 0, 1.0)
+    assert abs(r.lambda2_x - 1.0) < 1e-12
+    assert r.gap < DEGENERATE_GAP
+
+
+def test_probe_on_one_and_two_vertex_bases():
+    single = build_graph(1, [])
+    edge = generate("path", 2)
+    for x in XS:
+        r = _assert_matches_oracles(single, 0, x)
+        assert r.gap == math.inf
+        assert abs(r.lambda2_x - 2.0 * x) <= 1e-12 * x
+        assert r.new_vertex_is_extremum
+        for v in (0, 1):
+            r = _assert_matches_oracles(edge, v, x)
+            assert math.isfinite(r.gap)
+
+
+def test_probe_matches_dense_route_on_sturm_route():
+    # n + 1 = 86 > 80: eigenvalues come from Sturm bisection
+    g = generate("gnm", 85, 200, seed=11)
+    for v in (0, 42):
+        for x in (1e-3, 1.0, 1e3):
+            _assert_matches_oracles(g, v, x)
+
+
+def test_probe_needs_no_dense_fallback(monkeypatch):
+    # the bordered tridiagonal is exactly similar to the augmented Laplacian,
+    # so on well-conditioned graphs every probe passes its residual check
+    import fiedlertools.eigen as eigen
+
+    def no_fallback(M):
+        raise AssertionError("dense fallback taken")
+
+    monkeypatch.setattr(eigen, "eig_sym", no_fallback)
+    for g in (generate("gnm", 20, 45, seed=8), generate("gnm", 85, 200, seed=11)):
+        for v in (0, 9):
+            for x in (1e-3, 1.0, 1e3):
+                perturbed_fiedler(g, v, x)
+
+
+def test_probe_validates_like_attach_pendant():
+    g = generate("path", 4)
+    for v, x in ((4, 1.0), (-1, 1.0), (0, 0.0), (0, -2.0), (0, math.inf), (0, math.nan)):
+        with pytest.raises(ValueError):
+            perturbed_fiedler(g, v, x)
+    with pytest.raises(DisconnectedGraphError):
+        perturbed_fiedler(build_graph(4, [(0, 1, 1.0), (2, 3, 1.0)]), 0, 1.0)
+
+
+def _fresh(g, v, x):
+    perturbation._last_reduction = None
+    return perturbed_fiedler(g, v, x)
+
+
+def _assert_same(a, b):
+    assert a.lambda2_x == b.lambda2_x
+    assert a.gap == b.gap
+    assert a.new_vertex_is_extremum == b.new_vertex_is_extremum
+    assert np.array_equal(a.phi_x, b.phi_x)
+
+
+def test_memo_interleaved_graphs_and_anchors():
+    g1 = generate("gnm", 12, 24, seed=1)
+    g2 = generate("gnm", 12, 30, seed=2)
+    calls = [(g1, 3, 0.5), (g2, 3, 0.5), (g1, 7, 2.0), (g1, 3, 2.0), (g2, 7, 0.1), (g2, 7, 9.0)]
+    got = [perturbed_fiedler(g, v, x) for g, v, x in calls]
+    for (g, v, x), r in zip(calls, got):
+        _assert_same(r, _fresh(g, v, x))
+
+
+def test_memo_equal_but_distinct_graph():
+    g = generate("gnm", 12, 24, seed=4)
+    twin = build_graph(g.n, g.edges)
+    assert twin == g and twin is not g
+    first = perturbed_fiedler(g, 5, 1.5)
+    _assert_same(perturbed_fiedler(twin, 5, 1.5), first)
+    _assert_same(perturbed_fiedler(g, 5, 1.5), _fresh(twin, 5, 1.5))
