@@ -14,7 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from .centrality import correlation_experiment
-from .eigen import ConvergenceError, eig_sym
+# eig_sym stays importable from this module: perfbench/tracer.py wraps cli.eig_sym by name
+from .eigen import ConvergenceError, eig_sym, eigvals_sym  # noqa: F401
 from .fcd import FcdConfig, a_of_v, fcd_all
 from .graphs import DisconnectedGraphError, EdgeListParseError, laplacian, read_edgelist
 from .perturbation import sweep
@@ -74,11 +75,11 @@ def cmd_fiedler(args) -> int:
     spectrum_path = _out_path(args, "spectrum.csv")
     fiedler_path = _out_path(args, "fiedler.csv")
     res = fiedler(g)
-    spectrum = eig_sym(laplacian(g))
+    spectrum = eigvals_sym(laplacian(g))
     _write_csv(
         spectrum_path,
         ["index", "eigenvalue"],
-        [(i, float(v)) for i, v in enumerate(spectrum.eigenvalues)],
+        [(i, float(v)) for i, v in enumerate(spectrum)],
     )
     _write_csv(
         fiedler_path,

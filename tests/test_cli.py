@@ -1,13 +1,18 @@
 """Command-line interface: exit codes, output files, determinism."""
 import math
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fiedlertools
 from fiedlertools.cli import main
-from fiedlertools.graphs import generate, write_edgelist
+from fiedlertools.eigen import eig_sym
+from fiedlertools.graphs import generate, laplacian, read_edgelist, write_edgelist
 from fiedlertools.shape import synthetic_hooked_shape
 
 
@@ -34,6 +39,8 @@ def test_fiedler_writes_spectrum_and_vector(tmp_path, capsys):
     header, rows = _read_rows(out / "spectrum.csv")
     assert header == ["index", "eigenvalue"]
     assert np.allclose([float(r[1]) for r in rows], [0.0, 1.0, 3.0], atol=1e-9)
+    exact = eig_sym(laplacian(read_edgelist(_p3(tmp_path)))).eigenvalues
+    assert [float(r[1]) for r in rows] == exact.tolist()
     header, rows = _read_rows(out / "fiedler.csv")
     assert header == ["vertex", "value"]
     vals = [float(r[1]) for r in rows]
@@ -212,8 +219,16 @@ def test_shape_rejects_bad_mask(tmp_path, capsys):
 
 def test_console_script_help():
     exe = shutil.which("fiedlertools")
+    env = None
     if exe is None:
-        pytest.skip("console script not on PATH")
-    proc = subprocess.run([exe, "--help"], capture_output=True, text=True)
+        # not installed: run the module the way the console script would
+        cmd = [sys.executable, "-m", "fiedlertools.cli", "--help"]
+        src = str(Path(fiedlertools.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p
+        ))
+    else:
+        cmd = [exe, "--help"]
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "perturb-sweep" in proc.stdout
