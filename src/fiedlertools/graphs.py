@@ -134,7 +134,6 @@ def laplacian(g: Graph) -> np.ndarray:
 def _decode_pair(i: int, n: int) -> tuple[int, int]:
     # invert the lexicographic enumeration of pairs u < v
     u = (2 * n - 1 - math.isqrt((2 * n - 1) ** 2 - 8 * i)) // 2
-    off = u * n - u * (u + 1) // 2
 
     def offset(r: int) -> int:
         return r * n - r * (r + 1) // 2

@@ -88,7 +88,8 @@ def _parse_pgm(data: bytes) -> np.ndarray:
     if maxval > 255:
         raise MaskParseError("PGM with maxval > 255 (two-byte samples) not supported")
     if magic == b"P2":
-        body = data[pos:].split(b"#")[0] if b"#" in data[pos:] else data[pos:]
+        # a '#' comments out the rest of its line, in the body as in the header
+        body = b"\n".join(line.split(b"#", 1)[0] for line in data[pos:].splitlines())
         try:
             samples = [int(t) for t in body.split()]
         except ValueError:

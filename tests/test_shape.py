@@ -50,6 +50,14 @@ def test_text_mask_and_pgm_twins_agree(tmp_path):
     assert np.array_equal(load_mask(p5).values, ref)
 
 
+def test_p2_comment_lines_inside_the_body(tmp_path):
+    path = tmp_path / "c.pgm"
+    path.write_bytes(b"P2\n3 2\n255\n255 0 255\n# c\n0 255 0\n")
+    assert load_mask(path).values.tolist() == [[True, False, True], [False, True, False]]
+    path.write_bytes(b"P2\n3 2\n255 # maxval\n255 0 255 # row 0\n0 255 0\n")
+    assert load_mask(path).values.tolist() == [[True, False, True], [False, True, False]]
+
+
 def test_pgm_threshold_is_128(tmp_path):
     path = tmp_path / "t.pgm"
     path.write_text("P2\n2 1\n255\n127 128\n")
