@@ -83,9 +83,14 @@ def build_graph(n: int, edge_list) -> Graph:
         canon[key] = w
     edges = tuple((u, v, canon[(u, v)]) for (u, v) in sorted(canon))
     nbrs: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+    # equal (neighbor, weight) pairs share one tuple: with unit weights a
+    # graph holds n pairs instead of 2m
+    pairs: dict[tuple[int, float], tuple[int, float]] = {}
     for u, v, w in edges:
-        nbrs[u].append((v, w))
-        nbrs[v].append((u, w))
+        p = (v, w)
+        nbrs[u].append(pairs.setdefault(p, p))
+        p = (u, w)
+        nbrs[v].append(pairs.setdefault(p, p))
     adjacency = tuple(tuple(sorted(a)) for a in nbrs)
     return Graph(n=n, edges=edges, adjacency=adjacency)
 
