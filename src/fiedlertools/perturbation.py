@@ -31,7 +31,7 @@ import numpy as np
 
 from .eigen import ConvergenceError, _accumulate_q, _householder, tridiagonal_smallest_three
 from .graphs import Graph, build_graph, laplacian
-from .spectral import FiedlerResult, checked_fiedler, fiedler, rayleigh_edge_sum, require_connected
+from .spectral import checked_fiedler, fiedler, rayleigh_edge_sum, require_connected
 
 # relative tolerance for "attains the maximum magnitude"
 EXTREMUM_TIE_TOL = 1e-12
@@ -92,16 +92,6 @@ class _AnchorReduction:
     basis: np.ndarray
 
 
-def _reduce_at_anchor(g: Graph, v: int) -> _AnchorReduction:
-    require_connected(g)
-    L = laplacian(g)
-    order = [v] + [u for u in range(g.n) if u != v]
-    d, e, reflectors = _householder(L[np.ix_(order, order)])
-    basis = np.empty((g.n, g.n))
-    basis[order] = _accumulate_q(g.n, reflectors)
-    return _AnchorReduction(L=L, d=d, e=e, basis=basis)
-
-
 # (graph, anchor, reduction) of the latest probe, read and replaced as one tuple
 _last_reduction: tuple[Graph, int, _AnchorReduction] | None = None
 
@@ -111,33 +101,15 @@ def _anchor_reduction(g: Graph, v: int) -> _AnchorReduction:
     last = _last_reduction
     if last is not None and last[0] is g and last[1] == v:
         return last[2]
-    red = _reduce_at_anchor(g, v)
+    require_connected(g)
+    L = laplacian(g)
+    order = [v] + [u for u in range(g.n) if u != v]
+    d, e, reflectors = _householder(L[np.ix_(order, order)])
+    basis = np.empty((g.n, g.n))
+    basis[order] = _accumulate_q(g.n, reflectors)
+    red = _AnchorReduction(L=L, d=d, e=e, basis=basis)
     _last_reduction = (g, v, red)
     return red
-
-
-def _pendant_fiedler(g: Graph, v: int, x: float) -> FiedlerResult:
-    """Checked Fiedler pair of g plus the pendant (v, n) of weight x."""
-    red = _anchor_reduction(g, v)
-    n = g.n
-    d = np.concatenate(([x, red.d[0] + x], red.d[1:]))
-    e = np.concatenate(([-x], red.e))
-    M = np.zeros((n + 1, n + 1))
-    M[:n, :n] = red.L
-    M[v, v] += x
-    M[v, n] = M[n, v] = -x
-    M[n, n] = x
-
-    def to_full(z: np.ndarray) -> np.ndarray:
-        return np.append(red.basis @ z[1:], z[0])
-
-    lam1, lam2, lam3, phi = tridiagonal_smallest_three(d, e, to_full, M)
-
-    def edge_sum(p: np.ndarray) -> float:
-        diff = p[v] - p[n]
-        return rayleigh_edge_sum(g, p) + x * diff * diff
-
-    return checked_fiedler(lam1, lam2, lam3, phi, edge_sum, float(np.max(np.abs(M))))
 
 
 def perturbed_fiedler(
@@ -160,9 +132,26 @@ def perturbed_fiedler(
     """
     _check_pendant(g, v, x)
     x = float(x)
-    res = _pendant_fiedler(g, v, x)
-    phi = res.phi
     n = g.n
+    red = _anchor_reduction(g, v)
+    # the bordered tridiagonal in the basis {pendant} + PQ, and the dense
+    # augmented Laplacian it is similar to
+    d = np.concatenate(([x, red.d[0] + x], red.d[1:]))
+    e = np.concatenate(([-x], red.e))
+    M = np.zeros((n + 1, n + 1))
+    M[:n, :n] = red.L
+    M[v, v] += x
+    M[v, n] = M[n, v] = -x
+    M[n, n] = x
+    lam1, lam2, lam3, phi = tridiagonal_smallest_three(
+        d, e, lambda z: np.append(red.basis @ z[1:], z[0]), M
+    )
+    res = checked_fiedler(
+        lam1, lam2, lam3, phi,
+        lambda p: rayleigh_edge_sum(g, p) + x * (p[v] - p[n]) ** 2,
+        float(np.max(np.abs(M))),
+    )
+    phi = res.phi
     maxmag = float(np.max(np.abs(phi)))
     oriented = phi if phi[n] >= 0.0 else -phi
     is_extremum = float(oriented[n]) >= float(np.max(oriented[:n])) - tie_tol * maxmag
