@@ -41,10 +41,9 @@ def _fix_sign(phi: np.ndarray) -> np.ndarray:
 
 def rayleigh_edge_sum(g: Graph, phi: np.ndarray) -> float:
     """Sum of w_uv (phi(u) - phi(v))^2 over edges; equals phi' L phi."""
-    values = np.asarray(phi, dtype=float).tolist()
     total = 0.0
     for u, v, w in g.edges:
-        diff = values[u] - values[v]
+        diff = phi[u] - phi[v]
         total += w * diff * diff
     return total
 
