@@ -25,7 +25,7 @@ MEASURES = ("fcd", "betweenness", "closeness", "eigenvector")
 MEASURE_PAIRS = tuple(f"{a}_vs_{b}" for a, b in combinations(MEASURES, 2))
 
 
-@dataclass
+@dataclass(slots=True)
 class CentralityVector:
     kind: str
     values: np.ndarray
@@ -155,7 +155,7 @@ def spearman(a, b) -> float:
     return pearson(_ranks(a), _ranks(b))
 
 
-@dataclass
+@dataclass(slots=True)
 class CorrelationRow:
     m: int
     pair: str
@@ -166,7 +166,7 @@ class CorrelationRow:
     std_rank_correlation: float
 
 
-@dataclass
+@dataclass(slots=True)
 class CorrelationTable:
     """Mean pairwise correlations of the four measures over seeded G(n, m) draws.
 

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -288,8 +287,8 @@ def build_parser() -> _Parser:
     parser.add_argument(
         "--threads",
         type=int,
-        default=os.cpu_count(),
-        help="worker cap for parallel stages (default: available cores)",
+        default=1,
+        help="worker processes for fcd and centrality-experiment (default: 1, no pool)",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 

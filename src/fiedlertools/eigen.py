@@ -2,7 +2,8 @@
 
 Classic two-stage scheme: Householder reduction to tridiagonal form followed
 by the implicitly shifted QL iteration, with an extra fast route for the one
-eigenpair this package cares about most. Everything is deterministic: no
+eigenpair this package cares about most, and a secular-equation solver for
+rank-one updates of a diagonal matrix. Everything is deterministic: no
 randomized pivoting, no thread-count dependence, identical results on every
 platform for identical input bytes.
 
@@ -11,16 +12,20 @@ Routes:
 * ``eig_sym`` / ``eigvals_sym``: full spectrum (and optionally the full
   orthonormal eigenbasis) of a symmetric matrix.
 * ``smallest_three``: the three smallest eigenvalues plus the eigenvector of
-  the second-smallest. For small matrices the QL value iteration is cheap;
-  for large ones the three eigenvalues come from Sturm-sequence bisection,
-  which skips the O(n^2) scalar QL loop. The eigenvector is recovered by
-  inverse iteration on the tridiagonal matrix and checked against its
-  residual; on failure the full solver is the fallback.
-* ``tridiagonal_smallest_three``: the same answer from a tridiagonal matrix
-  that is already known, plus the map from its basis back to the full
-  coordinates. ``smallest_three`` is the Householder reduction followed by
-  this stage; pendant probes (``perturbation.perturbed_fiedler``) reuse one
-  reduction of the base graph and call only this stage.
+  the second-smallest: the Householder reduction, then two stages on the
+  tridiagonal matrix. ``tridiagonal_smallest_three`` finds the eigenvalues,
+  by QL for small matrices and by Sturm-sequence bisection for large ones,
+  which skips the O(n^2) scalar QL loop. ``tridiagonal_lambda2_vector``
+  recovers the eigenvector by inverse iteration, refines lambda_2 by its
+  Rayleigh quotient and checks the vector's residual against the full
+  matrix; on failure the full solver is the fallback.
+* ``rank_one_smallest_three``: the three smallest eigenvalues of
+  diag(d) + rho z z' from the secular equation, with explicit deflation and
+  a safeguarded rational root finder (LAPACK ``dlaed4``'s middle way).
+  Pendant probes (``perturbation.perturbed_fiedler``) take their
+  eigenvalues from it and run only the vector stage above; the diagonal
+  and z come from one QL pass per anchor that rotates only the first row
+  of the eigenvector matrix (``_ql_implicit`` given a vector).
 """
 from __future__ import annotations
 
@@ -113,14 +118,18 @@ def _ql_implicit(d_in, e_in, Z: np.ndarray | None = None):
     """Implicitly shifted QL on a tridiagonal matrix.
 
     Scalar work runs on Python floats (measurably faster than elementwise
-    ndarray indexing); if Z is given its columns are rotated along. Returns
-    eigenvalues ascending and Z reordered to match.
+    ndarray indexing). If Z is a matrix its columns are rotated along. If Z
+    is a vector it is taken as one row of such a matrix and rotated on
+    Python floats as well: started from e_0 it ends as the first components
+    of the eigenvectors (Golub-Welsch), at O(1) extra cost per rotation.
+    Returns eigenvalues ascending and Z reordered to match.
     """
     d = list(map(float, d_in))
     e = list(map(float, e_in))
     n = len(d)
     if len(e) < n:
         e = e + [0.0]
+    row = Z.tolist() if Z is not None and Z.ndim == 1 else None
     hypot = math.hypot
     copysign = math.copysign
     for l in range(n):
@@ -164,7 +173,11 @@ def _ql_implicit(d_in, e_in, Z: np.ndarray | None = None):
                 p = s * r
                 d[i + 1] = g + p
                 g = c * r - b
-                if Z is not None:
+                if row is not None:
+                    zi1 = row[i + 1]
+                    row[i + 1] = s * row[i] + c * zi1
+                    row[i] = c * row[i] - s * zi1
+                elif Z is not None:
                     zi1 = Z[:, i + 1].copy()
                     Z[:, i + 1] = s * Z[:, i] + c * zi1
                     Z[:, i] = c * Z[:, i] - s * zi1
@@ -176,7 +189,9 @@ def _ql_implicit(d_in, e_in, Z: np.ndarray | None = None):
     vals = np.array(d)
     order = np.argsort(vals, kind="stable")
     vals = vals[order]
-    if Z is not None:
+    if row is not None:
+        Z = np.array(row)[order]
+    elif Z is not None:
         Z = Z[:, order]
     return vals, Z
 
@@ -258,23 +273,25 @@ def _sturm_eigenvalues(d_in, e_in, indices: tuple[int, ...]) -> list[float]:
 def _inverse_iteration(d: np.ndarray, e: np.ndarray, lam: float, n: int) -> np.ndarray:
     """Eigenvector of the tridiagonal (d, e) for eigenvalue lam.
 
-    Two rounds of inverse iteration with a partial-pivot LU of (T - lam I).
-    The start vector is a fixed low-discrepancy sequence so results are
-    reproducible; near-singular pivots are floored rather than failed.
+    Two rounds of inverse iteration with a partial-pivot LU of (T - lam I),
+    on Python floats. The start vector is a fixed low-discrepancy sequence
+    so results are reproducible; near-singular pivots are floored rather
+    than failed.
     """
-    norm_t = float(np.max(np.abs(d))) + (float(np.max(np.abs(e[: n - 1]))) if n > 1 else 0.0)
+    d = d.tolist()
+    e = e[: n - 1].tolist()
+    norm_t = max(map(abs, d)) + (max(map(abs, e)) if n > 1 else 0.0)
     tiny = max(norm_t, 1.0) * _EPS * n
     golden = 0.6180339887498949
-    z = np.array([((i + 1) * golden) % 1.0 + 0.5 for i in range(n)])
-    z /= math.sqrt(float(np.dot(z, z)))
+    z = [((i + 1) * golden) % 1.0 + 0.5 for i in range(n)]
+    nrm = math.sqrt(sum(t * t for t in z))
+    z = [t / nrm for t in z]
     for _ in range(2):
-        dia = d - lam
-        sub = np.empty(n)
-        sup = np.empty(n)
-        sup2 = np.zeros(n)
-        sub[: n - 1] = e[: n - 1]
-        sup[: n - 1] = e[: n - 1]
-        b = z.copy()
+        dia = [t - lam for t in d]
+        sub = e + [0.0]
+        sup = e + [0.0]
+        sup2 = [0.0] * n
+        b = z
         for k in range(n - 1):
             if abs(sub[k]) > abs(dia[k]):
                 dia[k], sub[k] = sub[k], dia[k]
@@ -292,14 +309,145 @@ def _inverse_iteration(d: np.ndarray, e: np.ndarray, lam: float, n: int) -> np.n
             b[k + 1] -= mult * b[k]
         if abs(dia[n - 1]) < tiny:
             dia[n - 1] = tiny
-        z = np.empty(n)
+        z = [0.0] * n
         z[n - 1] = b[n - 1] / dia[n - 1]
         if n >= 2:
             z[n - 2] = (b[n - 2] - sup[n - 2] * z[n - 1]) / dia[n - 2]
         for k in range(n - 3, -1, -1):
             z[k] = (b[k] - sup[k] * z[k + 1] - sup2[k] * z[k + 2]) / dia[k]
-        z /= math.sqrt(float(np.dot(z, z)))
-    return z
+        nrm = math.sqrt(sum(t * t for t in z))
+        z = [t / nrm for t in z]
+    return np.array(z)
+
+
+# ---------------------------------------------------------------------------
+# Rank-one update of a diagonal matrix: the secular equation
+
+_MAX_SECULAR_ITER = 60
+
+
+def _middle_root(C: float, A: float, B: float) -> float:
+    """The root of C eta^2 - A eta + B = 0 that ``_secular_root`` wants.
+
+    It is (A - sqrt(A^2 - 4BC)) / 2C, the root between the two pole
+    distances, evaluated without cancellation; 0 when the quadratic
+    degenerates, which makes the caller take a Newton step.
+    """
+    if C == 0.0:
+        return B / A if A != 0.0 else 0.0
+    disc = math.sqrt(abs(A * A - 4.0 * B * C))
+    if A <= 0.0:
+        return (A - disc) / (2.0 * C)
+    return 2.0 * B / (A + disc)
+
+
+def _secular_root(p: list, c: list, rho: float, i: int) -> float:
+    """Root of f(mu) = 1/rho + sum_k c_k / (p_k - mu) above the pole p_i.
+
+    Poles p ascend and weights c are positive, so f increases from -inf to
+    +inf between p_i and p_{i+1}, and from -inf to 1/rho after the last
+    pole, where the root lies below p_K + rho * sum(c). As in LAPACK
+    ``dlaed4``, mu = origin + tau with the origin at whichever bracketing
+    pole the root is nearer, so the distances to both carry full relative
+    accuracy. Between two poles each step is R.-C. Li's "middle way": the
+    poles up to p_i and the poles after it are each replaced by one pole
+    term matching f's parts and their slopes at tau, and the resulting
+    quadratic is solved. On the last interval the step is Newton's. A step
+    that leaves the bracket kept from the signs of f is replaced by
+    bisection.
+    """
+    rhoinv = 1.0 / rho
+    last = i == len(p) - 1
+    if last:
+        origin, lo, hi = p[i], 0.0, rho * sum(c)
+        tau = hi
+    else:
+        gap = p[i + 1] - p[i]
+        mid = p[i] + 0.5 * gap
+        w = rhoinv + sum(ck / (pk - mid) for pk, ck in zip(p, c))
+        # the rest of f at the midpoint, plus the two bracketing poles exactly
+        C = w + 2.0 * (c[i] - c[i + 1]) / gap
+        if w >= 0.0:
+            origin, lo, hi = p[i], 0.0, 0.5 * gap
+            tau = _middle_root(C, C * gap + c[i] + c[i + 1], c[i] * gap)
+        else:
+            origin, lo, hi = p[i + 1], -0.5 * gap, 0.0
+            tau = _middle_root(C, -C * gap + c[i] + c[i + 1], -c[i + 1] * gap)
+        if not lo < tau < hi:
+            tau = 0.5 * (lo + hi)
+    shifted = [pk - origin for pk in p]
+    left = list(zip(shifted[: i + 1], c[: i + 1]))
+    right = list(zip(shifted[i + 1:], c[i + 1:]))
+    for _ in range(_MAX_SECULAR_ITER):
+        psi = dpsi = phi = dphi = 0.0
+        for sk, ck in left:
+            delta = sk - tau
+            t = ck / delta
+            psi += t
+            dpsi += t / delta
+        for sk, ck in right:
+            delta = sk - tau
+            t = ck / delta
+            phi += t
+            dphi += t / delta
+        w = rhoinv + psi + phi
+        dw = dpsi + dphi
+        if abs(w) <= _EPS * (8.0 * (rhoinv + phi - psi) + abs(tau) * dw):
+            return origin + tau
+        if w < 0.0:
+            lo = tau
+        else:
+            hi = tau
+        eta = 0.0
+        if not last:
+            di = shifted[i] - tau
+            di1 = shifted[i + 1] - tau
+            eta = _middle_root(
+                w - di * dpsi - di1 * dphi, (di + di1) * w - di * di1 * dw, di * di1 * w
+            )
+        if w * eta >= 0.0:
+            eta = -w / dw
+        new = tau + eta
+        if not lo < new < hi:
+            new = 0.5 * (lo + hi)
+        if new == tau:
+            return origin + tau
+        tau = new
+    raise ConvergenceError(f"secular equation root {i} failed to converge")
+
+
+def rank_one_smallest_three(d, z2, rho: float) -> tuple[float, float, float]:
+    """Three smallest eigenvalues of diag(d) + rho z z', ascending; +inf pads.
+
+    ``d`` ascends, ``z2`` holds the squares z_j^2 and rho > 0. With
+    tol = 8 eps max(|d|, rho), a pole d_j deflates, and is itself an
+    eigenvalue, when rho |z_j| <= tol, or when it lies within tol of the
+    previous kept pole, whose weight then absorbs z_j^2 (the exact case is
+    a Givens rotation of the two coordinates). Every other eigenvalue is a
+    root of the secular equation over the kept poles, one above each pole
+    (``_secular_root``); roots are found from the lowest interval up and
+    only until three eigenvalues are known to lie below the next pole.
+    """
+    tol = 8.0 * _EPS * max(abs(d[0]), abs(d[-1]), rho)
+    poles: list[float] = []
+    weights: list[float] = []
+    values: list[float] = []
+    for dj, wj in zip(d, z2):
+        if rho * math.sqrt(wj) <= tol:
+            values.append(dj)
+        elif poles and dj - poles[-1] <= tol:
+            weights[-1] += wj
+            values.append(dj)
+        else:
+            poles.append(dj)
+            weights.append(wj)
+    for i, pole in enumerate(poles):
+        if sum(1 for t in values if t < pole) >= 3:
+            break
+        values.append(_secular_root(poles, weights, rho, i))
+    values.sort()
+    values += [math.inf] * (3 - len(values))
+    return values[0], values[1], values[2]
 
 
 def smallest_three(M: np.ndarray) -> tuple[float, float, float, np.ndarray]:
@@ -313,28 +461,39 @@ def smallest_three(M: np.ndarray) -> tuple[float, float, float, np.ndarray]:
     if M.shape[0] < 2:
         raise ValueError("need at least a 2x2 matrix")
     d, e, reflectors = _householder(M)
-    return tridiagonal_smallest_three(d, e, lambda z: _back_transform(z, reflectors), M)
+    return tridiagonal_lambda2_vector(
+        d, e, tridiagonal_smallest_three(d, e), lambda z: _back_transform(z, reflectors), M
+    )
 
 
-def tridiagonal_smallest_three(
-    d: np.ndarray, e: np.ndarray, to_full, M: np.ndarray
-) -> tuple[float, float, float, np.ndarray]:
-    """Second stage of ``smallest_three`` for a tridiagonal T = (d, e) similar to M.
+def tridiagonal_smallest_three(d: np.ndarray, e: np.ndarray) -> tuple[float, float, float]:
+    """The three smallest eigenvalues of the tridiagonal T = (d, e), ascending.
 
-    ``e`` holds the off-diagonal in e[0..n-2] (length n, or n-1), and
-    ``to_full`` maps a vector in T's basis to M's coordinates (an orthogonal
-    change of basis). The eigenvalues come from QL for n <= 80 and from
-    Sturm bisection above; the lambda_2 vector from inverse iteration and a
-    Rayleigh refinement on T. The mapped vector must pass a residual check
-    against M, otherwise the full decomposition of M is used instead.
+    ``e`` holds the off-diagonal in e[0..n-2] (length n, or n-1). QL for
+    n <= 80, Sturm bisection above; lambda_3 is +inf for n = 2.
     """
     n = len(d)
     if n <= _STURM_CUTOFF:
         vals, _ = _ql_implicit(d, e, None)
-        lam1, lam2 = float(vals[0]), float(vals[1])
-        lam3 = float(vals[2]) if n >= 3 else math.inf
-    else:
-        lam1, lam2, lam3 = _sturm_eigenvalues(d, e, (0, 1, 2))
+        return float(vals[0]), float(vals[1]), float(vals[2]) if n >= 3 else math.inf
+    lam1, lam2, lam3 = _sturm_eigenvalues(d, e, (0, 1, 2))
+    return lam1, lam2, lam3
+
+
+def tridiagonal_lambda2_vector(
+    d: np.ndarray, e: np.ndarray, lams: tuple[float, float, float], to_full, M: np.ndarray
+) -> tuple[float, float, float, np.ndarray]:
+    """Vector stage of ``smallest_three`` for a tridiagonal T = (d, e) similar to M.
+
+    ``lams`` are T's three smallest eigenvalues, from whichever eigenvalue
+    stage the caller has; ``to_full`` maps a vector in T's basis to M's
+    coordinates (an orthogonal change of basis). The lambda_2 vector comes
+    from inverse iteration and a Rayleigh refinement on T. The mapped vector
+    must pass a residual check against M, otherwise the full decomposition
+    of M answers instead. Returns (lambda_1, lambda_2, lambda_3, v_2).
+    """
+    lam1, lam2, lam3 = lams
+    n = len(d)
     z = _inverse_iteration(d, e, lam2, n)
     # Rayleigh refinement in tridiagonal coordinates
     Tz = d * z

@@ -14,6 +14,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
+from .eigen import ConvergenceError
 from .graphs import Graph, is_connected
 from .perturbation import perturbed_fiedler
 
@@ -40,14 +41,16 @@ class FcdConfig:
             raise ValueError(f"tie_tol must be nonnegative, got {self.tie_tol}")
 
 
-@dataclass
+@dataclass(slots=True)
 class FcdResult:
     """Threshold estimate for one vertex.
 
     boundary_flag: "interior" (threshold inside the window, a_v finite),
     "hit_xmax" (pendant extremal at the upper window edge; a_v = +inf and
-    fcd = 0), or "hit_xmin" (pendant not extremal even at the lower edge;
-    a_v and fcd are NaN, the search said nothing).
+    fcd = 0), "hit_xmin" (pendant not extremal even at the lower edge;
+    a_v and fcd are NaN, the search said nothing), or "not_converged"
+    (``fcd_all`` only: a probe of this vertex raised ConvergenceError;
+    a_v and fcd are NaN).
     """
 
     v: int
@@ -93,7 +96,7 @@ def a_of_v(g: Graph, v: int, cfg: FcdConfig = FcdConfig()) -> FcdResult:
     return FcdResult(v=v, a_v=a, fcd=1.0 / a, steps=steps, boundary_flag="interior")
 
 
-@dataclass
+@dataclass(slots=True)
 class AbarSweep:
     """Dense-grid oracle for the threshold: flags over xs, largest extremal x.
 
@@ -136,13 +139,16 @@ def _a_of_v_job(args: tuple[Graph, int, FcdConfig]) -> FcdResult:
         return a_of_v(g, v, cfg)
     except FcdSearchError:
         return FcdResult(v=v, a_v=math.nan, fcd=math.nan, steps=0, boundary_flag="hit_xmin")
+    except ConvergenceError:
+        return FcdResult(v=v, a_v=math.nan, fcd=math.nan, steps=0, boundary_flag="not_converged")
 
 
 def fcd_all(g: Graph, cfg: FcdConfig = FcdConfig(), workers: int | None = None) -> list[FcdResult]:
     """Threshold search for every vertex, ordered by vertex id.
 
-    Per-vertex search failures are reported in the result (boundary_flag
-    "hit_xmin") instead of aborting the remaining vertices. ``workers``
+    Per-vertex failures are reported in the result (boundary_flag
+    "hit_xmin" for a failed search, "not_converged" for a probe that raised
+    ConvergenceError) instead of aborting the remaining vertices. ``workers``
     distributes vertices over processes; results merge by index either way.
     """
     if not is_connected(g):

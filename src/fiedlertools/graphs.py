@@ -7,6 +7,7 @@ their fields are equal.
 """
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from collections import deque
@@ -32,7 +33,7 @@ class DisconnectedGraphError(ValueError):
     """Raised by operations that require a connected graph."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Graph:
     """Immutable undirected graph with positive edge weights.
 
@@ -52,6 +53,20 @@ class Graph:
     def degrees(self) -> np.ndarray:
         """Weighted degree of every vertex (row sums of the weight matrix)."""
         return weight_matrix(self).sum(axis=1)
+
+
+@functools.lru_cache(maxsize=256)
+def _shared(item: tuple) -> tuple:
+    """One tuple object per distinct edge triple or (neighbor, weight) pair.
+
+    Graphs built recently share equal tuples instead of holding copies: a
+    unit-weight graph on n vertices holds n distinct pairs instead of 2m,
+    and G(n, m) draws at one small n take their edges from the same
+    n(n-1)/2 triples (210 tuples in all at n = 20, the correlation
+    experiment's size). Larger graphs rarely repeat edges, so the cache
+    stays small and keeps at most 256 tuples alive.
+    """
+    return item
 
 
 def build_graph(n: int, edge_list) -> Graph:
@@ -81,16 +96,11 @@ def build_graph(n: int, edge_list) -> Graph:
         if key in canon:
             raise ValueError(f"duplicate undirected edge ({key[0]}, {key[1]})")
         canon[key] = w
-    edges = tuple((u, v, canon[(u, v)]) for (u, v) in sorted(canon))
+    edges = tuple(_shared((u, v, canon[(u, v)])) for (u, v) in sorted(canon))
     nbrs: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    # equal (neighbor, weight) pairs share one tuple: with unit weights a
-    # graph holds n pairs instead of 2m
-    pairs: dict[tuple[int, float], tuple[int, float]] = {}
     for u, v, w in edges:
-        p = (v, w)
-        nbrs[u].append(pairs.setdefault(p, p))
-        p = (u, w)
-        nbrs[v].append(pairs.setdefault(p, p))
+        nbrs[u].append(_shared((v, w)))
+        nbrs[v].append(_shared((u, w)))
     adjacency = tuple(tuple(sorted(a)) for a in nbrs)
     return Graph(n=n, edges=edges, adjacency=adjacency)
 

@@ -11,15 +11,25 @@ anchor-dependent weight threshold.
 How a probe is computed. Callers probe one (graph, anchor) pair at many
 weights (bisection for a(v), sweeps, anchoring), so the base Laplacian is
 reduced once per anchor: with v ordered first, P'LP = QTQ' by Householder
-reflections, which never touch coordinate 0, so Q e_0 = e_0. In the basis
-{e_pendant} + PQ the pendant-augmented Laplacian is then tridiagonal of
-order n+1, with diagonal (x, T_00 + x, T_11, ...) and off-diagonal
-(-x, T_01, T_12, ...). A probe runs only the tridiagonal stage of
-``eigen.smallest_three`` on it and maps the vector back with one
-matrix-vector product; the residual against the dense augmented Laplacian,
-with the full eigensolver as fallback, and the post-checks of
-``spectral.fiedler`` apply unchanged. The latest reduction is kept in a
-single-entry memo keyed on the graph object and the anchor.
+reflections, which never touch coordinate 0, so Q e_0 = e_0. One QL pass on
+T that rotates only the first row of the eigenvector matrix U gives T's
+eigenvalues theta_j and the spectral weights w_j = U_0j^2 of e_0; theta_0
+belongs to the constant vector and is set to 0. In the basis
+{e_pendant} + PQ the pendant-augmented Laplacian is tridiagonal of order
+n+1, with diagonal (x, T_00 + x, T_11, ...) and off-diagonal
+(-x, T_01, T_12, ...); in the basis {e_pendant} + PQU it is
+diag(0, theta) + x z z' with z^2 = (1, w). Its eigenvalues other than 0
+are the roots of f(mu) = 1/x - (1 + w_0)/mu + sum_{j>=1} w_j/(theta_j - mu),
+one above each pole, and every theta_j that deflates: one with no weight on
+e_0 (a pendant on the nodal set, or T splitting, as at a star's center) or
+one repeating the previous pole. A probe takes lambda_2 and lambda_3 from
+``eigen.rank_one_smallest_three``, with no QL or bisection of its own,
+then runs the vector stage of ``eigen.smallest_three`` on the bordered
+tridiagonal (inverse iteration at lambda_2, Rayleigh refinement) and maps
+the vector back with one matrix-vector product. The residual against the
+dense augmented Laplacian, with the full eigensolver as fallback, and the
+post-checks of ``spectral.fiedler`` apply unchanged. The latest reduction
+is kept in a single-entry memo keyed on the graph object and the anchor.
 ``fiedler(attach_pendant(g, v, x))`` computes the same pair from scratch.
 """
 from __future__ import annotations
@@ -29,7 +39,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigen import ConvergenceError, _accumulate_q, _householder, tridiagonal_smallest_three
+from .eigen import (
+    ConvergenceError,
+    _accumulate_q,
+    _householder,
+    _ql_implicit,
+    rank_one_smallest_three,
+    tridiagonal_lambda2_vector,
+)
 from .graphs import Graph, build_graph, laplacian
 from .spectral import checked_fiedler, fiedler, rayleigh_edge_sum, require_connected
 
@@ -67,7 +84,7 @@ def attach_pendant(g: Graph, v: int, x: float) -> Graph:
     return PendantPerturbation(g, v, x).apply()
 
 
-@dataclass
+@dataclass(slots=True)
 class PerturbedFiedler:
     """Fiedler pair of a pendant-augmented graph; phi_x[n] is the pendant entry."""
 
@@ -84,12 +101,18 @@ class _AnchorReduction:
 
     ``d``/``e`` are T's diagonal and off-diagonal (e[n-1] = 0), and
     ``basis`` = PQ: its column j is T's j-th basis vector in vertex order.
+    ``poles``/``weights`` are the diagonal and the squared rank-one vector
+    of a probe's secular equation, independent of x: the pendant's pole 0
+    with weight 1, then T's eigenvalues theta (theta_0 set to 0, the
+    constant vector's) with the spectral weights w_j of e_0.
     """
 
     L: np.ndarray
     d: np.ndarray
     e: np.ndarray
     basis: np.ndarray
+    poles: list
+    weights: list
 
 
 # (graph, anchor, reduction) of the latest probe, read and replaced as one tuple
@@ -107,7 +130,14 @@ def _anchor_reduction(g: Graph, v: int) -> _AnchorReduction:
     d, e, reflectors = _householder(L[np.ix_(order, order)])
     basis = np.empty((g.n, g.n))
     basis[order] = _accumulate_q(g.n, reflectors)
-    red = _AnchorReduction(L=L, d=d, e=e, basis=basis)
+    first = np.zeros(g.n)
+    first[0] = 1.0
+    theta, first = _ql_implicit(d, e, first)
+    red = _AnchorReduction(
+        L=L, d=d, e=e, basis=basis,
+        poles=[0.0, 0.0] + theta[1:].tolist(),
+        weights=[1.0] + (first * first).tolist(),
+    )
     _last_reduction = (g, v, red)
     return red
 
@@ -143,8 +173,9 @@ def perturbed_fiedler(
     M[v, v] += x
     M[v, n] = M[n, v] = -x
     M[n, n] = x
-    lam1, lam2, lam3, phi = tridiagonal_smallest_three(
-        d, e, lambda z: np.append(red.basis @ z[1:], z[0]), M
+    lam1, lam2, lam3, phi = tridiagonal_lambda2_vector(
+        d, e, rank_one_smallest_three(red.poles, red.weights, x),
+        lambda z: np.append(red.basis @ z[1:], z[0]), M,
     )
     res = checked_fiedler(
         lam1, lam2, lam3, phi,

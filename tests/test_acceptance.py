@@ -12,6 +12,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import conftest
 from fiedlertools.centrality import correlation_experiment
@@ -159,6 +160,7 @@ def test_criterion_06_tree_extrema():
     return violations == 0, f"{violations} non-pendant extrema on 100 trees (need 0)"
 
 
+@pytest.mark.slow
 @_criterion(7, "threshold conjecture sweep")
 def test_criterion_07_conjecture_sweep():
     xs = list(np.logspace(-3.0, 3.0, 200))
@@ -225,6 +227,7 @@ def test_criterion_08_fcd_at_extrema():
     return bad == 0, f"{total - bad}/{total} base extrema have fcd = 0 with hit_xmax"
 
 
+@pytest.mark.slow
 @_criterion(9, "centrality correlation experiment")
 def test_criterion_09_correlation_experiment():
     t0 = time.perf_counter()

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import fiedlertools
+from fiedlertools import cli
 from fiedlertools.cli import main
 from fiedlertools.eigen import eig_sym
 from fiedlertools.graphs import generate, laplacian, read_edgelist, write_edgelist
@@ -140,11 +141,21 @@ def test_fcd_output_is_deterministic(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_fcd_threads_match_serial(tmp_path, capsys):
+def test_fcd_threads_match_serial(tmp_path, capsys, monkeypatch):
+    # one process unless --threads asks for more
+    seen = []
+    real = cli.fcd_all
+
+    def recording(g, cfg, workers=None):
+        seen.append(workers)
+        return real(g, cfg, workers=workers)
+
+    monkeypatch.setattr(cli, "fcd_all", recording)
     graph = _gnm(tmp_path)
     out1, out2 = tmp_path / "serial", tmp_path / "pooled"
-    assert main(["--out-dir", str(out1), "--threads", "1", "fcd", graph]) == 0
+    assert main(["--out-dir", str(out1), "fcd", graph]) == 0
     assert main(["--out-dir", str(out2), "--threads", "2", "fcd", graph]) == 0
+    assert seen == [None, 2]
     assert (out1 / "fcd.csv").read_bytes() == (out2 / "fcd.csv").read_bytes()
     capsys.readouterr()
 

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+from fiedlertools import fcd
+from fiedlertools.eigen import ConvergenceError
 from fiedlertools.fcd import (
     AbarSweep,
     FcdConfig,
@@ -148,6 +150,41 @@ def test_fcd_all_parallel_matches_serial():
         assert a.v == b.v
         assert a.boundary_flag == b.boundary_flag
         assert a.fcd == pytest.approx(b.fcd, abs=1e-12)
+
+
+def test_fcd_all_reports_nonconverged_vertex(monkeypatch):
+    real = fcd.perturbed_fiedler
+
+    def failing_at_2(g, v, x, tie_tol):
+        if v == 2:
+            raise ConvergenceError("probe failed")
+        return real(g, v, x, tie_tol)
+
+    monkeypatch.setattr(fcd, "perturbed_fiedler", failing_at_2)
+    g = generate("path", 6)
+    rows = fcd_all(g)
+    assert [r.boundary_flag == "not_converged" for r in rows] == [v == 2 for v in range(6)]
+    assert math.isnan(rows[2].a_v) and math.isnan(rows[2].fcd) and rows[2].steps == 0
+    with pytest.raises(ConvergenceError):
+        a_of_v(g, 2)
+
+
+def test_fcd_all_survives_graded_path():
+    # weights over 16 decades: some probes raise ConvergenceError, and
+    # fcd_all reports exactly those vertices instead of aborting
+    g = build_graph(4, [(0, 1, 1e-8), (1, 2, 1.0), (2, 3, 1e8)])
+    rows = fcd_all(g)
+    assert [r.v for r in rows] == [0, 1, 2, 3]
+    for r in rows:
+        try:
+            a_of_v(g, r.v)
+        except ConvergenceError:
+            assert r.boundary_flag == "not_converged"
+            assert math.isnan(r.a_v) and math.isnan(r.fcd)
+        except FcdSearchError:
+            assert r.boundary_flag == "hit_xmin"
+        else:
+            assert r.boundary_flag in ("interior", "hit_xmax")
 
 
 def test_result_fields():

@@ -97,6 +97,16 @@ def test_gnm_exact_edge_count_connected_deterministic():
         assert g.edges == again.edges
 
 
+def test_equal_edge_and_neighbor_tuples_are_shared():
+    a = generate("gnm", 12, 30, seed=1)
+    b = generate("gnm", 12, 30, seed=2)
+    in_b = {t: t for t in b.edges}
+    common = [t for t in a.edges if t in in_b]
+    assert common and all(in_b[t] is t for t in common)
+    # unit weights: one (neighbor, 1.0) pair per vertex for the whole graph
+    assert len({id(p) for row in a.adjacency for p in row}) == a.n
+
+
 def test_gnm_dense_regime():
     # complement sampling path: m above half of all pairs
     g = generate("gnm", 20, 160, seed=3)

@@ -3,9 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fiedlertools import perturbation
-from fiedlertools.eigen import eigvals_sym
+from fiedlertools.eigen import eigvals_sym, rank_one_smallest_three
 from fiedlertools.graphs import DisconnectedGraphError, build_graph, generate, laplacian
 from fiedlertools.perturbation import (
     EXTREMUM_TIE_TOL,
@@ -325,3 +327,93 @@ def test_memo_equal_but_distinct_graph():
     first = perturbed_fiedler(g, 5, 1.5)
     _assert_same(perturbed_fiedler(twin, 5, 1.5), first)
     _assert_same(perturbed_fiedler(g, 5, 1.5), _fresh(twin, 5, 1.5))
+
+
+# ---------------------------------------------------------------------------
+# The secular route: deflation, no tridiagonal eigenvalue stage per probe,
+# and a property test against numpy.linalg.eigh
+
+
+@pytest.mark.parametrize(
+    "d, z2, rho",
+    [
+        ([0.0, 1.0, 2.0, 3.0], [0.25, 0.25, 0.25, 0.25], 0.7),
+        ([0.0, 1.0, 1.0, 2.0], [0.5, 0.2, 0.1, 0.2], 3.0),  # repeated pole
+        ([0.0, 0.5, 1.0, 4.0], [0.4, 0.0, 0.3, 0.3], 1.0),  # zero weight
+        ([0.0, 0.0, 1.0, 5.0], [1.0, 0.25, 0.5, 0.25], 1e3),  # the pendant's form
+        ([2.0, 3.0], [0.3, 0.7], 1e-3),  # second root on the last interval
+        ([2.0], [1.0], 0.5),  # one pole, fewer than three eigenvalues
+    ],
+)
+def test_rank_one_smallest_three_matches_eigh(d, z2, rho):
+    z = np.sqrt(z2)
+    vals = np.linalg.eigvalsh(np.diag(d) + rho * np.outer(z, z))
+    want = list(vals[:3]) + [math.inf] * (3 - vals.size)
+    got = rank_one_smallest_three(d, z2, rho)
+    # eigh itself is accurate to a few eps times the norm only
+    slack = 8.0 * np.finfo(float).eps * (max(d) + rho * sum(z2))
+    for a, b in zip(got, want):
+        assert a == pytest.approx(b, rel=1e-12, abs=slack), (got, want)
+
+
+@pytest.mark.parametrize(
+    "kind, n, v", [("star", 7, 0), ("path", 9, 4), ("complete", 6, 2), ("cycle", 8, 3)]
+)
+def test_probe_deflation_cases_match_eigh(kind, n, v):
+    # the anchor has no weight on some eigenvectors of L (star center, middle
+    # of an odd path) or L has repeated eigenvalues (complete graph, cycle):
+    # those poles deflate and stay eigenvalues of the augmented graph
+    g = generate(kind, n)
+    red = perturbation._anchor_reduction(g, v)
+    weights, poles = np.array(red.weights[2:]), np.array(red.poles[2:])
+    assert (weights < 1e-30).any() or (np.diff(poles) < 1e-12).any()
+    for x in XS:
+        r = perturbed_fiedler(g, v, x)
+        vals = np.linalg.eigvalsh(laplacian(attach_pendant(g, v, x)))
+        assert abs(r.lambda2_x - vals[1]) <= 1e-10 * vals[1], (x, r.lambda2_x, vals[1])
+        assert abs(r.gap - (vals[2] - vals[1])) <= 1e-10 * vals[2], (x, r.gap)
+
+
+def test_probe_runs_no_tridiagonal_eigenvalue_stage(monkeypatch):
+    import fiedlertools.eigen as eigen
+
+    def banned(*args):
+        raise AssertionError("a probe ran QL or Sturm bisection")
+
+    for g in (generate("gnm", 20, 45, seed=8), generate("gnm", 85, 200, seed=11)):
+        perturbed_fiedler(g, 3, 1.0)  # the per-anchor reduction runs QL once
+        with monkeypatch.context() as m:
+            m.setattr(eigen, "_ql_implicit", banned)
+            m.setattr(eigen, "_sturm_eigenvalues", banned)
+            m.setattr(perturbation, "_ql_implicit", banned)
+            for x in XS:
+                perturbed_fiedler(g, 3, x)
+
+
+_WEIGHTS = st.floats(-2.0, 2.0).map(lambda t: 10.0 ** t)
+
+
+@st.composite
+def _connected_graphs(draw):
+    n = draw(st.integers(1, 10))
+    # a random spanning tree keeps the graph connected; extra edges on top
+    edges = {(draw(st.integers(0, i - 1)), i): draw(_WEIGHTS) for i in range(1, n)}
+    extra = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), _WEIGHTS)
+    for u, v, w in draw(st.lists(extra, max_size=20)):
+        if u != v:
+            edges.setdefault((min(u, v), max(u, v)), w)
+    return build_graph(n, [(u, v, w) for (u, v), w in edges.items()])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(g=_connected_graphs(), data=st.data(), t=st.floats(-3.0, 3.0))
+def test_probe_property_against_eigh(g, data, t):
+    v = data.draw(st.integers(0, g.n - 1))
+    x = 10.0 ** t
+    r = perturbed_fiedler(g, v, x)
+    vals = np.linalg.eigvalsh(laplacian(attach_pendant(g, v, x)))
+    assert abs(r.lambda2_x - vals[1]) <= 1e-10 * vals[1], (r.lambda2_x, vals[1])
+    if vals.size > 2:
+        assert abs(r.gap - (vals[2] - vals[1])) <= 1e-10 * vals[2], (r.gap, vals[:3])
+    base = np.linalg.eigvalsh(laplacian(g))[1] if g.n > 1 else math.inf
+    assert r.lambda2_x <= min(base, 2.0 * x) + 1e-10
