@@ -31,7 +31,6 @@ from .graphs import (
 )
 from .perturbation import (
     Conjecture1Report,
-    PendantPerturbation,
     PerturbedFiedler,
     attach_pendant,
     complete_graph_large_x,
@@ -75,7 +74,6 @@ __all__ = [
     "MaskImage",
     "MaskParseError",
     "Parameterization",
-    "PendantPerturbation",
     "PerturbedFiedler",
     "ShapeGraph",
     "Spectrum",

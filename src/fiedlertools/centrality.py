@@ -18,7 +18,7 @@ import numpy as np
 
 from .eigen import ConvergenceError
 from .fcd import FcdConfig, fcd_all
-from .graphs import Graph, generate, is_connected
+from .graphs import Graph, generate, require_connected
 from .rng import derive_seed
 
 MEASURES = ("fcd", "betweenness", "closeness", "eigenvector")
@@ -31,18 +31,13 @@ class CentralityVector:
     values: np.ndarray
 
 
-def _require_connected(g: Graph) -> None:
-    if not is_connected(g):
-        raise ValueError("centrality measures here require a connected graph")
-
-
 def betweenness(g: Graph) -> CentralityVector:
     """Brandes betweenness over unweighted shortest paths.
 
     Unnormalized; each unordered source-target pair contributes once (the
     directed accumulation is halved).
     """
-    _require_connected(g)
+    require_connected(g)
     n = g.n
     bc = np.zeros(n)
     for s in range(n):
@@ -74,7 +69,7 @@ def betweenness(g: Graph) -> CentralityVector:
 
 def closeness(g: Graph) -> CentralityVector:
     """(n-1) / sum of hop distances to all other vertices."""
-    _require_connected(g)
+    require_connected(g)
     n = g.n
     vals = np.zeros(n)
     for s in range(n):
@@ -101,7 +96,7 @@ def eigenvector_centrality(
     Power iteration on A + I: the shift breaks the period-2 oscillation on
     bipartite graphs without moving the eigenvectors.
     """
-    _require_connected(g)
+    require_connected(g)
     n = g.n
     B = np.eye(n)
     for u, v, _ in g.edges:

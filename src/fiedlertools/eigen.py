@@ -13,12 +13,12 @@ Routes:
   orthonormal eigenbasis) of a symmetric matrix.
 * ``smallest_three``: the three smallest eigenvalues plus the eigenvector of
   the second-smallest: the Householder reduction, then two stages on the
-  tridiagonal matrix. ``tridiagonal_smallest_three`` finds the eigenvalues,
-  by QL for small matrices and by Sturm-sequence bisection for large ones,
-  which skips the O(n^2) scalar QL loop. ``tridiagonal_lambda2_vector``
-  recovers the eigenvector by inverse iteration, refines lambda_2 by its
-  Rayleigh quotient and checks the vector's residual against the full
-  matrix; on failure the full solver is the fallback.
+  tridiagonal matrix. Sturm-sequence bisection (Barth, Martin & Wilkinson
+  1967) finds the eigenvalues by index at every order, which skips the
+  O(n^2) scalar QL loop. ``tridiagonal_lambda2_vector`` recovers the
+  eigenvector by inverse iteration, refines lambda_2 by its Rayleigh
+  quotient and checks the vector's residual against the full matrix; on
+  failure the full solver is the fallback.
 * ``rank_one_smallest_three``: the three smallest eigenvalues of
   diag(d) + rho z z' from the secular equation, with explicit deflation and
   a safeguarded rational root finder (LAPACK ``dlaed4``'s middle way).
@@ -36,8 +36,6 @@ import numpy as np
 
 _EPS = float(np.finfo(float).eps)
 _MAX_QL_ITER = 50
-# above this size Sturm bisection beats running the QL scalar loop to completion
-_STURM_CUTOFF = 80
 
 
 class ConvergenceError(RuntimeError):
@@ -453,31 +451,20 @@ def rank_one_smallest_three(d, z2, rho: float) -> tuple[float, float, float]:
 def smallest_three(M: np.ndarray) -> tuple[float, float, float, np.ndarray]:
     """(lambda_1, lambda_2, lambda_3, v_2) for symmetric M, eigenvalues ascending.
 
-    lambda_3 is +inf for 2x2 input. v_2 is a unit eigenvector for lambda_2,
-    validated by its residual; if inverse iteration lands on the wrong vector
-    the full decomposition is used instead.
+    The eigenvalues come from Sturm bisection on the Householder-reduced
+    matrix; lambda_3 is +inf for 2x2 input. v_2 is a unit eigenvector for
+    lambda_2, validated by its residual; if inverse iteration lands on the
+    wrong vector the full decomposition is used instead.
     """
     M = _check_input(M)
-    if M.shape[0] < 2:
+    n = M.shape[0]
+    if n < 2:
         raise ValueError("need at least a 2x2 matrix")
     d, e, reflectors = _householder(M)
+    lams = _sturm_eigenvalues(d, e, (0, 1, 2)[:n]) + [math.inf]
     return tridiagonal_lambda2_vector(
-        d, e, tridiagonal_smallest_three(d, e), lambda z: _back_transform(z, reflectors), M
+        d, e, tuple(lams[:3]), lambda z: _back_transform(z, reflectors), M
     )
-
-
-def tridiagonal_smallest_three(d: np.ndarray, e: np.ndarray) -> tuple[float, float, float]:
-    """The three smallest eigenvalues of the tridiagonal T = (d, e), ascending.
-
-    ``e`` holds the off-diagonal in e[0..n-2] (length n, or n-1). QL for
-    n <= 80, Sturm bisection above; lambda_3 is +inf for n = 2.
-    """
-    n = len(d)
-    if n <= _STURM_CUTOFF:
-        vals, _ = _ql_implicit(d, e, None)
-        return float(vals[0]), float(vals[1]), float(vals[2]) if n >= 3 else math.inf
-    lam1, lam2, lam3 = _sturm_eigenvalues(d, e, (0, 1, 2))
-    return lam1, lam2, lam3
 
 
 def tridiagonal_lambda2_vector(

@@ -15,7 +15,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .eigen import ConvergenceError
-from .graphs import Graph, is_connected
+from .graphs import Graph, require_connected
 from .perturbation import perturbed_fiedler
 
 
@@ -73,8 +73,7 @@ def a_of_v(g: Graph, v: int, cfg: FcdConfig = FcdConfig()) -> FcdResult:
     """
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} outside range({g.n})")
-    if not is_connected(g):
-        raise ValueError("graph must be connected")
+    require_connected(g)
     if not _pendant_extremal(g, v, 10.0 ** cfg.alpha, cfg.tie_tol):
         raise FcdSearchError(
             f"pendant at vertex {v} is not extremal at x_min = 1e{cfg.alpha:g}; "
@@ -151,8 +150,7 @@ def fcd_all(g: Graph, cfg: FcdConfig = FcdConfig(), workers: int | None = None) 
     ConvergenceError) instead of aborting the remaining vertices. ``workers``
     distributes vertices over processes; results merge by index either way.
     """
-    if not is_connected(g):
-        raise ValueError("graph must be connected")
+    require_connected(g)
     jobs = [(g, v, cfg) for v in range(g.n)]
     if workers is not None and workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

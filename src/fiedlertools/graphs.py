@@ -121,6 +121,12 @@ def is_connected(g: Graph) -> bool:
     return count == g.n
 
 
+def require_connected(g: Graph) -> None:
+    """Raise DisconnectedGraphError unless g is connected."""
+    if not is_connected(g):
+        raise DisconnectedGraphError("graph is disconnected; the operation needs a connected graph")
+
+
 def weight_matrix(g: Graph) -> np.ndarray:
     """Dense symmetric weight matrix W with zero diagonal."""
     W = np.zeros((g.n, g.n))

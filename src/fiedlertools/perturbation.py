@@ -30,7 +30,9 @@ the vector back with one matrix-vector product. The residual against the
 dense augmented Laplacian, with the full eigensolver as fallback, and the
 post-checks of ``spectral.fiedler`` apply unchanged. The latest reduction
 is kept in a single-entry memo keyed on the graph object and the anchor.
-``fiedler(attach_pendant(g, v, x))`` computes the same pair from scratch.
+``fiedler(attach_pendant(g, v, x))`` computes the same pair from scratch,
+with ``eigen.smallest_three``'s Sturm bisection on the dense augmented
+Laplacian in place of the secular equation.
 """
 from __future__ import annotations
 
@@ -47,8 +49,8 @@ from .eigen import (
     rank_one_smallest_three,
     tridiagonal_lambda2_vector,
 )
-from .graphs import Graph, build_graph, laplacian
-from .spectral import checked_fiedler, fiedler, rayleigh_edge_sum, require_connected
+from .graphs import Graph, build_graph, laplacian, require_connected
+from .spectral import checked_fiedler, fiedler, rayleigh_edge_sum
 
 # relative tolerance for "attains the maximum magnitude"
 EXTREMUM_TIE_TOL = 1e-12
@@ -63,25 +65,10 @@ def _check_pendant(g: Graph, v: int, x: float) -> None:
         raise ValueError(f"pendant weight must be positive and finite, got {x}")
 
 
-@dataclass(frozen=True)
-class PendantPerturbation:
-    """Base graph plus one pendant vertex at anchor_v with weight x."""
-
-    base: Graph
-    anchor_v: int
-    x: float
-
-    def __post_init__(self) -> None:
-        _check_pendant(self.base, self.anchor_v, self.x)
-
-    def apply(self) -> Graph:
-        n = self.base.n
-        return build_graph(n + 1, list(self.base.edges) + [(self.anchor_v, n, self.x)])
-
-
 def attach_pendant(g: Graph, v: int, x: float) -> Graph:
     """Graph on n+1 vertices: g plus the edge (v, n) of weight x."""
-    return PendantPerturbation(g, v, x).apply()
+    _check_pendant(g, v, x)
+    return build_graph(g.n + 1, list(g.edges) + [(v, g.n, x)])
 
 
 @dataclass(slots=True)

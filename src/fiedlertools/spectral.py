@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigen import ConvergenceError, Spectrum, smallest_three
-from .graphs import DisconnectedGraphError, Graph, is_connected, laplacian
+from .graphs import Graph, laplacian, require_connected
 
 # relative gap below which lambda_2 is treated as (numerically) repeated
 DEGENERATE_GAP = 1e-8
@@ -46,15 +46,6 @@ def rayleigh_edge_sum(g: Graph, phi: np.ndarray) -> float:
         diff = phi[u] - phi[v]
         total += w * diff * diff
     return total
-
-
-def require_connected(g: Graph) -> None:
-    """Raise DisconnectedGraphError unless g is connected."""
-    if not is_connected(g):
-        raise DisconnectedGraphError(
-            "graph is disconnected: algebraic connectivity is 0 and the "
-            "Fiedler vector is not defined"
-        )
 
 
 def checked_fiedler(

@@ -66,8 +66,9 @@ def test_malformed_edgelist_reports_line(tmp_path, capsys):
 def test_disconnected_graph_exit_code(tmp_path, capsys):
     bad = tmp_path / "disc.edges"
     bad.write_text("4 2\n0 1\n2 3\n")
-    assert main(["--out-dir", str(tmp_path), "fiedler", str(bad)]) == 2
-    assert "error:" in capsys.readouterr().err
+    for cmd in (["fiedler"], ["perturb-sweep", "--vertex", "0"], ["fcd"]):
+        assert main(["--out-dir", str(tmp_path), cmd[0], str(bad), *cmd[1:]]) == 2, cmd
+        assert "error:" in capsys.readouterr().err
 
 
 def test_domain_errors_exit_three(tmp_path, capsys):

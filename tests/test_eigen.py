@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from fiedlertools.eigen import ConvergenceError, eig_sym, eigvals_sym, smallest_three
-from fiedlertools.graphs import generate, laplacian
+from fiedlertools.graphs import build_graph, generate, laplacian
 
 
 def random_symmetric(n, seed):
@@ -90,7 +90,6 @@ def test_laplacian_kernel_recovered():
 
 
 def test_smallest_three_small_and_large_paths():
-    # n spans both sides of the dense/bisection crossover
     for n in (2, 3, 10, 79, 81, 120, 200):
         L = laplacian(generate("path", n))
         lam1, lam2, lam3, v2 = smallest_three(L)
@@ -116,6 +115,38 @@ def test_smallest_three_matches_oracle_on_random_graphs():
         assert abs(lam1 - ref[0]) < 1e-9
         assert abs(lam2 - ref[1]) < 1e-9
         assert abs(lam3 - ref[2]) < 1e-9
+
+
+def weighted_gnm_laplacian(n, seed):
+    # weights 10^U(-2, 2) on a connected G(n, min(2n, n(n-1)/2))
+    g = generate("gnm", n, min(2 * n, n * (n - 1) // 2), seed=seed)
+    rng = np.random.default_rng(seed)
+    weights = 10.0 ** rng.uniform(-2.0, 2.0, g.num_edges)
+    return laplacian(build_graph(n, [(u, v, w) for (u, v, _), w in zip(g.edges, weights)]))
+
+
+def test_smallest_three_weighted_matches_eigh():
+    for n in (2, 3, 10, 40, 79, 80, 81, 120):
+        L = weighted_gnm_laplacian(n, seed=n)
+        lams = smallest_three(L)[:3]
+        ref = np.linalg.eigvalsh(L)
+        tol = 1e-12 * max(1.0, float(np.max(np.abs(L))))
+        for i in range(min(n, 3)):
+            assert abs(lams[i] - ref[i]) <= tol, (n, i, lams[i], ref[i])
+        if n == 2:
+            assert lams[2] == math.inf
+
+
+def test_smallest_three_never_runs_ql(monkeypatch):
+    import fiedlertools.eigen as eigen
+
+    def no_ql(*args):
+        raise AssertionError("QL ran inside smallest_three")
+
+    monkeypatch.setattr(eigen, "_ql_implicit", no_ql)
+    for n in (3, 20, 80, 81):
+        lam1, lam2, lam3, v2 = smallest_three(weighted_gnm_laplacian(n, seed=n))
+        assert lam1 <= lam2 <= lam3
 
 
 def test_smallest_three_repeated_eigenvalue():

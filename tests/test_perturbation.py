@@ -11,7 +11,6 @@ from fiedlertools.eigen import eigvals_sym, rank_one_smallest_three
 from fiedlertools.graphs import DisconnectedGraphError, build_graph, generate, laplacian
 from fiedlertools.perturbation import (
     EXTREMUM_TIE_TOL,
-    PendantPerturbation,
     attach_pendant,
     complete_graph_large_x,
     conjecture1_check,
@@ -25,6 +24,9 @@ from fiedlertools.spectral import DEGENERATE_GAP, fiedler
 def test_attach_pendant_path_extension():
     g = attach_pendant(generate("path", 2), 1, 1.0)
     assert g.edges == ((0, 1, 1.0), (1, 2, 1.0))
+    g = attach_pendant(generate("path", 3), 2, 0.5)
+    assert g.n == 4
+    assert (2, 3, 0.5) in g.edges
 
 
 def test_attach_pendant_complete_graph_counts():
@@ -42,13 +44,6 @@ def test_attach_pendant_rejects_bad_arguments():
         attach_pendant(base, 0, -1.0)
     with pytest.raises(ValueError):
         attach_pendant(base, 3, 1.0)
-
-
-def test_perturbation_record_applies():
-    pert = PendantPerturbation(base=generate("path", 3), anchor_v=2, x=0.5)
-    g = pert.apply()
-    assert g.n == 4
-    assert (2, 3, 0.5) in g.edges
 
 
 def test_perturbed_fiedler_invariants_seeded():
@@ -267,8 +262,8 @@ def test_probe_on_one_and_two_vertex_bases():
             assert math.isfinite(r.gap)
 
 
-def test_probe_matches_dense_route_on_sturm_route():
-    # n + 1 = 86 > 80: eigenvalues come from Sturm bisection
+def test_probe_matches_dense_route_at_order_86():
+    # a larger base than the G(20, m) probes: n + 1 = 86
     g = generate("gnm", 85, 200, seed=11)
     for v in (0, 42):
         for x in (1e-3, 1.0, 1e3):
