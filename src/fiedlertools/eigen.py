@@ -14,11 +14,11 @@ Routes:
 * ``smallest_three``: the three smallest eigenvalues plus the eigenvector of
   the second-smallest: the Householder reduction, then two stages on the
   tridiagonal matrix. Sturm-sequence bisection (Barth, Martin & Wilkinson
-  1967) finds the eigenvalues by index at every order, which skips the
-  O(n^2) scalar QL loop. ``tridiagonal_lambda2_vector`` recovers the
-  eigenvector by inverse iteration, refines lambda_2 by its Rayleigh
-  quotient and checks the vector's residual against the full matrix; on
-  failure the full solver is the fallback.
+  1967) finds the eigenvalues by index at every order, to rounding level,
+  which skips the O(n^2) scalar QL loop. ``tridiagonal_lambda2_vector``
+  recovers the eigenvector by one twisted-factorization solve, refines
+  lambda_2 by its Rayleigh quotient and checks the vector's residual
+  against the full matrix; on failure the full solver is the fallback.
 * ``rank_one_smallest_three``: the three smallest eigenvalues of
   diag(d) + rho z z' from the secular equation, with explicit deflation and
   a safeguarded rational root finder (LAPACK ``dlaed4``'s middle way).
@@ -254,7 +254,8 @@ def _sturm_eigenvalues(d_in, e_in, indices: tuple[int, ...]) -> list[float]:
     ]
     glo = min(d[k] - radius[k] for k in range(n))
     ghi = max(d[k] + radius[k] for k in range(n))
-    tol = 1e-13 * max(1.0, abs(glo), abs(ghi))
+    # rounding level: the twisted solve takes the shift as exact
+    tol = 4.0 * _EPS * max(1.0, abs(glo), abs(ghi))
     out = []
     for j in indices:
         lo, hi = glo, ghi
@@ -269,53 +270,41 @@ def _sturm_eigenvalues(d_in, e_in, indices: tuple[int, ...]) -> list[float]:
 
 
 def _inverse_iteration(d: np.ndarray, e: np.ndarray, lam: float, n: int) -> np.ndarray:
-    """Eigenvector of the tridiagonal (d, e) for eigenvalue lam.
+    """Eigenvector of the tridiagonal (d, e) for an eigenvalue lam accurate to rounding.
 
-    Two rounds of inverse iteration with a partial-pivot LU of (T - lam I),
-    on Python floats. The start vector is a fixed low-discrepancy sequence
-    so results are reproducible; near-singular pivots are floored rather
-    than failed.
+    One twisted-factorization solve on Python floats (Fernando 1997; Parlett
+    & Dhillon 1997; the vector step of LAPACK's MRRR). The top-down pivots
+    D+ and bottom-up pivots D- of T - lam I are floored at tiny rather than
+    failed; at the twist r where |gamma_r| = |D+_r + D-_r - (d_r - lam)| is
+    smallest, z_r = 1, and the other entries follow from the two bidiagonal
+    recurrences. This is one step of inverse iteration, (T - lam I) z =
+    gamma_r e_r, from the start vector that the twist makes best. Nothing
+    absorbs an error in lam, so lam must come from bisection to rounding
+    level or an equally accurate root.
     """
     d = d.tolist()
     e = e[: n - 1].tolist()
+    a = [t - lam for t in d]
     norm_t = max(map(abs, d)) + (max(map(abs, e)) if n > 1 else 0.0)
     tiny = max(norm_t, 1.0) * _EPS * n
-    golden = 0.6180339887498949
-    z = [((i + 1) * golden) % 1.0 + 0.5 for i in range(n)]
+    e2 = [t * t for t in e]
+    top = [0.0] * n
+    bot = [0.0] * n
+    for k in range(n):
+        q = a[k] - e2[k - 1] / top[k - 1] if k else a[0]
+        top[k] = q if abs(q) >= tiny else tiny
+    for k in range(n - 1, -1, -1):
+        q = a[k] - e2[k] / bot[k + 1] if k < n - 1 else a[k]
+        bot[k] = q if abs(q) >= tiny else tiny
+    r = min(range(n), key=lambda k: abs(top[k] + bot[k] - a[k]))
+    z = [0.0] * n
+    z[r] = 1.0
+    for k in range(r - 1, -1, -1):
+        z[k] = -e[k] * z[k + 1] / top[k]
+    for k in range(r + 1, n):
+        z[k] = -e[k - 1] * z[k - 1] / bot[k]
     nrm = math.sqrt(sum(t * t for t in z))
-    z = [t / nrm for t in z]
-    for _ in range(2):
-        dia = [t - lam for t in d]
-        sub = e + [0.0]
-        sup = e + [0.0]
-        sup2 = [0.0] * n
-        b = z
-        for k in range(n - 1):
-            if abs(sub[k]) > abs(dia[k]):
-                dia[k], sub[k] = sub[k], dia[k]
-                sup[k], dia[k + 1] = dia[k + 1], sup[k]
-                if k + 1 < n - 1:
-                    sup2[k] = sup[k + 1]
-                    sup[k + 1] = 0.0
-                b[k], b[k + 1] = b[k + 1], b[k]
-            if abs(dia[k]) < tiny:
-                dia[k] = tiny
-            mult = sub[k] / dia[k]
-            dia[k + 1] -= mult * sup[k]
-            if k + 1 < n - 1:
-                sup[k + 1] -= mult * sup2[k]
-            b[k + 1] -= mult * b[k]
-        if abs(dia[n - 1]) < tiny:
-            dia[n - 1] = tiny
-        z = [0.0] * n
-        z[n - 1] = b[n - 1] / dia[n - 1]
-        if n >= 2:
-            z[n - 2] = (b[n - 2] - sup[n - 2] * z[n - 1]) / dia[n - 2]
-        for k in range(n - 3, -1, -1):
-            z[k] = (b[k] - sup[k] * z[k + 1] - sup2[k] * z[k + 2]) / dia[k]
-        nrm = math.sqrt(sum(t * t for t in z))
-        z = [t / nrm for t in z]
-    return np.array(z)
+    return np.array(z) / nrm
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +442,7 @@ def smallest_three(M: np.ndarray) -> tuple[float, float, float, np.ndarray]:
 
     The eigenvalues come from Sturm bisection on the Householder-reduced
     matrix; lambda_3 is +inf for 2x2 input. v_2 is a unit eigenvector for
-    lambda_2, validated by its residual; if inverse iteration lands on the
+    lambda_2, validated by its residual; if the twisted solve lands on the
     wrong vector the full decomposition is used instead.
     """
     M = _check_input(M)
@@ -475,7 +464,8 @@ def tridiagonal_lambda2_vector(
     ``lams`` are T's three smallest eigenvalues, from whichever eigenvalue
     stage the caller has; ``to_full`` maps a vector in T's basis to M's
     coordinates (an orthogonal change of basis). The lambda_2 vector comes
-    from inverse iteration and a Rayleigh refinement on T. The mapped vector
+    from one twisted solve at lambda_2 (``lams`` must be accurate to
+    rounding) and a Rayleigh refinement on T. The mapped vector
     must pass a residual check against M, otherwise the full decomposition
     of M answers instead. Returns (lambda_1, lambda_2, lambda_3, v_2).
     """
@@ -490,7 +480,8 @@ def tridiagonal_lambda2_vector(
     z = to_full(z)
     z /= math.sqrt(float(np.dot(z, z)))
     residual = float(np.linalg.norm(M @ z - lam2 * z))
-    if residual > 1e-11 * max(1.0, float(np.max(np.abs(M))) * n):
+    # written so that a NaN residual also takes the fallback
+    if not residual <= 1e-11 * max(1.0, float(np.max(np.abs(M))) * n):
         spectrum = eig_sym(M)
         vals = spectrum.eigenvalues
         lam1, lam2 = float(vals[0]), float(vals[1])

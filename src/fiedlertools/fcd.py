@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .eigen import ConvergenceError
 from .graphs import Graph, require_connected
-from .perturbation import perturbed_fiedler
+from .perturbation import perturbed_fiedler, sweep
 
 
 class FcdSearchError(ValueError):
@@ -112,13 +112,9 @@ class AbarSweep:
 
 
 def a_of_v_sweep(g: Graph, v: int, x_grid, tie_tol: float = 1e-12) -> AbarSweep:
-    """Evaluate pendant extremality on a dense increasing grid of weights."""
+    """Pendant extremality flags of ``sweep`` on a dense increasing grid of weights."""
     xs = [float(x) for x in x_grid]
-    if not xs:
-        raise ValueError("weight grid is empty")
-    if any(b <= a for a, b in zip(xs, xs[1:])):
-        raise ValueError("weight grid must be strictly increasing")
-    flags = [_pendant_extremal(g, v, x, tie_tol) for x in xs]
+    flags = [r.new_vertex_is_extremum for r in sweep(g, v, xs, tie_tol)]
     if not any(flags):
         raise FcdSearchError(
             f"pendant at vertex {v} is extremal nowhere on the grid; "

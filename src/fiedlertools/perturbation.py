@@ -25,7 +25,7 @@ e_0 (a pendant on the nodal set, or T splitting, as at a star's center) or
 one repeating the previous pole. A probe takes lambda_2 and lambda_3 from
 ``eigen.rank_one_smallest_three``, with no QL or bisection of its own,
 then runs the vector stage of ``eigen.smallest_three`` on the bordered
-tridiagonal (inverse iteration at lambda_2, Rayleigh refinement) and maps
+tridiagonal (a twisted solve at lambda_2, Rayleigh refinement) and maps
 the vector back with one matrix-vector product. The residual against the
 dense augmented Laplacian, with the full eigensolver as fallback, and the
 post-checks of ``spectral.fiedler`` apply unchanged. The latest reduction

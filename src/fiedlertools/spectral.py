@@ -63,13 +63,14 @@ def checked_fiedler(
     # enforce exact orthogonality to the constant kernel vector, then renormalize
     phi = phi - phi.mean()
     nrm = math.sqrt(float(np.dot(phi, phi)))
-    if nrm < 0.5:
+    # comparisons written so that NaN fails them
+    if not nrm >= 0.5:
         raise ConvergenceError(
             "candidate Fiedler vector collapsed onto the constant kernel vector"
         )
     phi = _fix_sign(phi / nrm)
     quotient = edge_sum(phi)
-    if abs(lam2 - quotient) > max(1e-9, 64.0 * np.finfo(float).eps * linf * n):
+    if not abs(lam2 - quotient) <= max(1e-9, 64.0 * np.finfo(float).eps * linf * n):
         raise ConvergenceError(
             f"Rayleigh quotient {quotient!r} disagrees with eigenvalue {lam2!r}"
         )

@@ -12,9 +12,10 @@ import pytest
 import fiedlertools
 from fiedlertools import cli
 from fiedlertools.cli import main
-from fiedlertools.eigen import eig_sym
+from fiedlertools.eigen import ConvergenceError, eig_sym
 from fiedlertools.graphs import generate, laplacian, read_edgelist, write_edgelist
 from fiedlertools.shape import synthetic_hooked_shape
+from fiedlertools.spectral import fiedler
 
 
 def _p3(tmp_path):
@@ -76,6 +77,22 @@ def test_domain_errors_exit_three(tmp_path, capsys):
     assert main(["--out-dir", str(tmp_path), "perturb-sweep", graph, "--vertex", "99"]) == 3
     assert main(["--out-dir", str(tmp_path), "fcd", graph, "--exponents", "oops"]) == 3
     capsys.readouterr()
+
+
+def test_graded_path_exit_code_follows_fiedler(tmp_path, capsys):
+    # the path with weights (1e-8, 1, 1e8) is at the limit of the solver:
+    # whatever fiedler does there, the CLI reports it with exit 0 or 4
+    path = tmp_path / "graded.edges"
+    path.write_text("4 3\n0 1 1e-8\n1 2 1\n2 3 1e8\n")
+    try:
+        fiedler(read_edgelist(str(path)))
+    except ConvergenceError:
+        expected = 4
+    else:
+        expected = 0
+    assert main(["--out-dir", str(tmp_path / "out"), "fiedler", str(path)]) == expected
+    if expected == 4:
+        assert "error:" in capsys.readouterr().err
 
 
 def test_existing_outputs_need_force(tmp_path, capsys):

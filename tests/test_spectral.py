@@ -4,9 +4,13 @@ import math
 import numpy as np
 import pytest
 
+from fiedlertools import eigen
+from fiedlertools.eigen import ConvergenceError
 from fiedlertools.graphs import DisconnectedGraphError, build_graph, generate, laplacian
+from fiedlertools.perturbation import attach_pendant, perturbed_fiedler
 from fiedlertools.spectral import (
     FiedlerResult,
+    checked_fiedler,
     fiedler,
     first_order_perturbation,
     rayleigh_edge_sum,
@@ -90,6 +94,50 @@ def test_result_is_plain_dataclass():
     assert set(res.__dataclass_fields__) == {
         "lambda2", "phi", "gap", "lambda1_residual", "degenerate",
     }
+
+
+def assert_matches_eigh(L, lam2, phi):
+    vals, vecs = np.linalg.eigh(L)
+    assert np.isfinite(lam2) and np.all(np.isfinite(phi))
+    assert abs(lam2 - vals[1]) < 1e-10 * max(1.0, vals[1])
+    assert np.max(np.abs(phi - math.copysign(1.0, float(np.dot(phi, vecs[:, 1]))) * vecs[:, 1])) < 1e-9
+
+
+def test_nan_vector_takes_dense_fallback(monkeypatch):
+    # a NaN vector fails the residual check, and the full solver answers
+    monkeypatch.setattr(
+        eigen, "_inverse_iteration", lambda d, e, lam, n: np.full(n, math.nan)
+    )
+    g = generate("gnm", 12, 30, seed=2)
+    res = fiedler(g)
+    assert_matches_eigh(laplacian(g), res.lambda2, res.phi)
+    assert np.isfinite(res.gap)
+    pert = perturbed_fiedler(g, 3, 0.5)
+    assert_matches_eigh(laplacian(attach_pendant(g, 3, 0.5)), pert.lambda2_x, pert.phi_x)
+    assert np.isfinite(pert.gap)
+
+
+def test_checked_fiedler_rejects_nan():
+    g = generate("path", 3)
+    phi = np.array([1.0, 0.0, -1.0]) / SQ2
+    edge_sum = lambda p: rayleigh_edge_sum(g, p)  # noqa: E731
+    assert checked_fiedler(0.0, 1.0, 3.0, phi, edge_sum, 2.0).lambda2 == 1.0
+    with pytest.raises(ConvergenceError, match="collapsed"):
+        checked_fiedler(0.0, 1.0, 3.0, np.full(3, math.nan), edge_sum, 2.0)
+    with pytest.raises(ConvergenceError, match="Rayleigh"):
+        checked_fiedler(0.0, math.nan, 3.0, phi, edge_sum, 2.0)
+
+
+def test_graded_path_is_accurate_or_raises():
+    # lambda_2 = 1.38e-8 lies below eps * max|L| = 2.2e-8: fiedler must
+    # either resolve it or refuse, never return a silently wrong value
+    g = build_graph(4, [(0, 1, 1e-8), (1, 2, 1.0), (2, 3, 1e8)])
+    ref = np.linalg.eigvalsh(laplacian(g))[1]
+    try:
+        res = fiedler(g)
+    except ConvergenceError:
+        return
+    assert abs(res.lambda2 - ref) <= 1e-6 * ref
 
 
 def test_first_order_prediction_on_diagonal_bump():
