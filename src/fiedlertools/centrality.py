@@ -39,6 +39,7 @@ def betweenness(g: Graph) -> CentralityVector:
     """
     require_connected(g)
     n = g.n
+    adjacency = g.adjacency
     bc = np.zeros(n)
     for s in range(n):
         sigma = [0.0] * n
@@ -51,7 +52,7 @@ def betweenness(g: Graph) -> CentralityVector:
         while queue:
             u = queue.popleft()
             order.append(u)
-            for w, _ in g.adjacency[u]:
+            for w, _ in adjacency[u]:
                 if dist[w] < 0:
                     dist[w] = dist[u] + 1
                     queue.append(w)
@@ -71,6 +72,7 @@ def closeness(g: Graph) -> CentralityVector:
     """(n-1) / sum of hop distances to all other vertices."""
     require_connected(g)
     n = g.n
+    adjacency = g.adjacency
     vals = np.zeros(n)
     for s in range(n):
         dist = [-1] * n
@@ -80,7 +82,7 @@ def closeness(g: Graph) -> CentralityVector:
         while queue:
             u = queue.popleft()
             total += dist[u]
-            for w, _ in g.adjacency[u]:
+            for w, _ in adjacency[u]:
                 if dist[w] < 0:
                     dist[w] = dist[u] + 1
                     queue.append(w)
@@ -180,9 +182,8 @@ class CorrelationTable:
 
 
 def _measure_vectors(g: Graph, cfg: FcdConfig) -> dict[str, np.ndarray]:
-    fcd_values = np.array([r.fcd for r in fcd_all(g, cfg)])
     return {
-        "fcd": fcd_values,
+        "fcd": fcd_all(g, cfg).fcd,
         "betweenness": betweenness(g).values,
         "closeness": closeness(g).values,
         "eigenvector": eigenvector_centrality(g).values,

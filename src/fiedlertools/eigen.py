@@ -26,6 +26,10 @@ Routes:
   eigenvalues from it and run only the vector stage above; the diagonal
   and z come from one QL pass per anchor that rotates only the first row
   of the eigenvector matrix (``_ql_implicit`` given a vector).
+* ``secular_first_roots``: the root above the first pole for many rows of
+  weights over shared poles at once, with the same start and step as the
+  scalar root finder; batched pendant probes
+  (``perturbation.pendant_extremal_batch``) take lambda_2 from it.
 """
 from __future__ import annotations
 
@@ -328,6 +332,57 @@ def _middle_root(C: float, A: float, B: float) -> float:
     return 2.0 * B / (A + disc)
 
 
+def _secular_start(gap: float, ci: float, ci1: float, w: float) -> tuple[bool, float, float, float]:
+    """First iterate on the interval (p_i, p_i + gap) from w = f(midpoint).
+
+    Returns (at_left, lo, hi, tau). The root is nearer p_i when w >= 0, and
+    at_left says the origin is p_i rather than p_{i+1}; lo, hi bracket tau
+    relative to the origin. The two bracketing pole terms are taken exactly
+    and the rest of f as a constant; the root of that quadratic is the
+    first tau, replaced by the bracket's midpoint if outside.
+    """
+    C = w + 2.0 * (ci - ci1) / gap
+    if w >= 0.0:
+        lo, hi = 0.0, 0.5 * gap
+        tau = _middle_root(C, C * gap + ci + ci1, ci * gap)
+    else:
+        lo, hi = -0.5 * gap, 0.0
+        tau = _middle_root(C, -C * gap + ci + ci1, -ci1 * gap)
+    if not lo < tau < hi:
+        tau = 0.5 * (lo + hi)
+    return w >= 0.0, lo, hi, tau
+
+
+def _secular_step(
+    tau: float, lo: float, hi: float, rhoinv: float,
+    psi: float, dpsi: float, phi: float, dphi: float, di: float, di1: float | None,
+) -> tuple[bool, float, float, float]:
+    """One iteration of ``_secular_root`` from f's parts at tau: (stop, tau, lo, hi).
+
+    psi, dpsi are the sum of the pole terms up to p_i and its slope, phi,
+    dphi those of the poles after it; di, di1 are the distances from tau to
+    p_i and p_{i+1} (di1 None on the last interval, where the step is
+    Newton's). ``stop`` means tau is the root.
+    """
+    w = rhoinv + psi + phi
+    dw = dpsi + dphi
+    if abs(w) <= _EPS * (8.0 * (rhoinv + phi - psi) + abs(tau) * dw):
+        return True, tau, lo, hi
+    if w < 0.0:
+        lo = tau
+    else:
+        hi = tau
+    eta = 0.0
+    if di1 is not None:
+        eta = _middle_root(w - di * dpsi - di1 * dphi, (di + di1) * w - di * di1 * dw, di * di1 * w)
+    if w * eta >= 0.0:
+        eta = -w / dw
+    new = tau + eta
+    if not lo < new < hi:
+        new = 0.5 * (lo + hi)
+    return new == tau, new, lo, hi
+
+
 def _secular_root(p: list, c: list, rho: float, i: int) -> float:
     """Root of f(mu) = 1/rho + sum_k c_k / (p_k - mu) above the pole p_i.
 
@@ -352,16 +407,8 @@ def _secular_root(p: list, c: list, rho: float, i: int) -> float:
         gap = p[i + 1] - p[i]
         mid = p[i] + 0.5 * gap
         w = rhoinv + sum(ck / (pk - mid) for pk, ck in zip(p, c))
-        # the rest of f at the midpoint, plus the two bracketing poles exactly
-        C = w + 2.0 * (c[i] - c[i + 1]) / gap
-        if w >= 0.0:
-            origin, lo, hi = p[i], 0.0, 0.5 * gap
-            tau = _middle_root(C, C * gap + c[i] + c[i + 1], c[i] * gap)
-        else:
-            origin, lo, hi = p[i + 1], -0.5 * gap, 0.0
-            tau = _middle_root(C, -C * gap + c[i] + c[i + 1], -c[i + 1] * gap)
-        if not lo < tau < hi:
-            tau = 0.5 * (lo + hi)
+        at_left, lo, hi, tau = _secular_start(gap, c[i], c[i + 1], w)
+        origin = p[i] if at_left else p[i + 1]
     shifted = [pk - origin for pk in p]
     left = list(zip(shifted[: i + 1], c[: i + 1]))
     right = list(zip(shifted[i + 1:], c[i + 1:]))
@@ -377,30 +424,59 @@ def _secular_root(p: list, c: list, rho: float, i: int) -> float:
             t = ck / delta
             phi += t
             dphi += t / delta
-        w = rhoinv + psi + phi
-        dw = dpsi + dphi
-        if abs(w) <= _EPS * (8.0 * (rhoinv + phi - psi) + abs(tau) * dw):
+        stop, tau, lo, hi = _secular_step(
+            tau, lo, hi, rhoinv, psi, dpsi, phi, dphi,
+            shifted[i] - tau, None if last else shifted[i + 1] - tau,
+        )
+        if stop:
             return origin + tau
-        if w < 0.0:
-            lo = tau
-        else:
-            hi = tau
-        eta = 0.0
-        if not last:
-            di = shifted[i] - tau
-            di1 = shifted[i + 1] - tau
-            eta = _middle_root(
-                w - di * dpsi - di1 * dphi, (di + di1) * w - di * di1 * dw, di * di1 * w
-            )
-        if w * eta >= 0.0:
-            eta = -w / dw
-        new = tau + eta
-        if not lo < new < hi:
-            new = 0.5 * (lo + hi)
-        if new == tau:
-            return origin + tau
-        tau = new
     raise ConvergenceError(f"secular equation root {i} failed to converge")
+
+
+def secular_first_roots(p: np.ndarray, c: np.ndarray, rho: np.ndarray):
+    """``_secular_root(p, c[r], rho[r], 0)`` for every row r, in lockstep.
+
+    The m >= 2 ascending poles p are shared; row r has its own weights c[r]
+    (c[r, 0] > 0, zero on poles the row deflates) and rho[r] > 0. The pole
+    sums of all rows are taken together with numpy; each row then runs
+    ``_secular_root``'s start and step on the interval (p[0], p[1]) until it
+    stops. Returns (origin, tau, done): the root of row r is
+    origin[r] + tau[r], so a distance p_j - root is best taken as
+    (p_j - origin[r]) - tau[r]. ``done`` is False for rows still iterating
+    when the budget ran out.
+    """
+    gap = float(p[1] - p[0])
+    rhoinv = (1.0 / rho).tolist()
+    w_mid = (1.0 / rho + (c / (p - (p[0] + 0.5 * gap))).sum(axis=1)).tolist()
+    start = [
+        _secular_start(gap, ci, ci1, w)
+        for ci, ci1, w in zip(c[:, 0].tolist(), c[:, 1].tolist(), w_mid)
+    ]
+    at_left, lo, hi, tau = (list(col) for col in zip(*start))
+    origin = np.where(at_left, p[0], p[1])
+    shifted = p - origin[:, None]
+    d0, d1 = shifted[:, 0].tolist(), shifted[:, 1].tolist()
+    rows = range(c.shape[0])
+    for _ in range(_MAX_SECULAR_ITER):
+        delta = shifted - np.array(tau)[:, None]
+        terms = c / delta
+        slopes = terms / delta
+        psi, dpsi = terms[:, 0].tolist(), slopes[:, 0].tolist()
+        phi, dphi = terms[:, 1:].sum(axis=1).tolist(), slopes[:, 1:].sum(axis=1).tolist()
+        still = []
+        for r in rows:
+            t = tau[r]
+            stop, tau[r], lo[r], hi[r] = _secular_step(
+                t, lo[r], hi[r], rhoinv[r], psi[r], dpsi[r], phi[r], dphi[r], d0[r] - t, d1[r] - t
+            )
+            if not stop:
+                still.append(r)
+        rows = still
+        if not rows:
+            break
+    done = np.ones(c.shape[0], dtype=bool)
+    done[rows] = False
+    return origin, np.array(tau), done
 
 
 def rank_one_smallest_three(d, z2, rho: float) -> tuple[float, float, float]:
@@ -452,12 +528,27 @@ def smallest_three(M: np.ndarray) -> tuple[float, float, float, np.ndarray]:
     d, e, reflectors = _householder(M)
     lams = _sturm_eigenvalues(d, e, (0, 1, 2)[:n]) + [math.inf]
     return tridiagonal_lambda2_vector(
-        d, e, tuple(lams[:3]), lambda z: _back_transform(z, reflectors), M
+        d, e, tuple(lams[:3]), lambda z: _back_transform(z, reflectors), M,
+        float(np.max(np.abs(M))),
     )
 
 
+def residual_bound(linf, order: int):
+    """Largest accepted ||M z - lambda z|| for a unit z, given max|M| and M's order.
+
+    Shared by ``tridiagonal_lambda2_vector`` and the batched pendant probe;
+    ``linf`` may be an array, one bound per row.
+    """
+    return 1e-11 * np.maximum(1.0, linf * order)
+
+
 def tridiagonal_lambda2_vector(
-    d: np.ndarray, e: np.ndarray, lams: tuple[float, float, float], to_full, M: np.ndarray
+    d: np.ndarray,
+    e: np.ndarray,
+    lams: tuple[float, float, float],
+    to_full,
+    M: np.ndarray,
+    linf: float,
 ) -> tuple[float, float, float, np.ndarray]:
     """Vector stage of ``smallest_three`` for a tridiagonal T = (d, e) similar to M.
 
@@ -466,8 +557,9 @@ def tridiagonal_lambda2_vector(
     coordinates (an orthogonal change of basis). The lambda_2 vector comes
     from one twisted solve at lambda_2 (``lams`` must be accurate to
     rounding) and a Rayleigh refinement on T. The mapped vector
-    must pass a residual check against M, otherwise the full decomposition
-    of M answers instead. Returns (lambda_1, lambda_2, lambda_3, v_2).
+    must pass a residual check against M, scaled by ``linf`` = max|M|,
+    otherwise the full decomposition of M answers instead. Returns
+    (lambda_1, lambda_2, lambda_3, v_2).
     """
     lam1, lam2, lam3 = lams
     n = len(d)
@@ -481,7 +573,7 @@ def tridiagonal_lambda2_vector(
     z /= math.sqrt(float(np.dot(z, z)))
     residual = float(np.linalg.norm(M @ z - lam2 * z))
     # written so that a NaN residual also takes the fallback
-    if not residual <= 1e-11 * max(1.0, float(np.max(np.abs(M))) * n):
+    if not residual <= residual_bound(linf, n):
         spectrum = eig_sym(M)
         vals = spectrum.eigenvalues
         lam1, lam2 = float(vals[0]), float(vals[1])

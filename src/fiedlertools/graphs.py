@@ -44,7 +44,18 @@ class Graph:
 
     n: int
     edges: tuple[Edge, ...]
-    adjacency: tuple[tuple[tuple[int, float], ...], ...]
+
+    @property
+    def adjacency(self) -> tuple[tuple[tuple[int, float], ...], ...]:
+        """Neighbor lists derived from ``edges``, built anew on each access.
+
+        A graph keeps only its edges; a traversal reads this once per call.
+        """
+        nbrs: list[list[tuple[int, float]]] = [[] for _ in range(self.n)]
+        for u, v, w in self.edges:
+            nbrs[u].append(_shared((v, w)))
+            nbrs[v].append(_shared((u, w)))
+        return tuple(tuple(sorted(a)) for a in nbrs)
 
     @property
     def num_edges(self) -> int:
@@ -60,7 +71,7 @@ def _shared(item: tuple) -> tuple:
     """One tuple object per distinct edge triple or (neighbor, weight) pair.
 
     Graphs built recently share equal tuples instead of holding copies: a
-    unit-weight graph on n vertices holds n distinct pairs instead of 2m,
+    unit-weight graph's ``adjacency`` holds n distinct pairs instead of 2m,
     and G(n, m) draws at one small n take their edges from the same
     n(n-1)/2 triples (210 tuples in all at n = 20, the correlation
     experiment's size). Larger graphs rarely repeat edges, so the cache
@@ -97,23 +108,19 @@ def build_graph(n: int, edge_list) -> Graph:
             raise ValueError(f"duplicate undirected edge ({key[0]}, {key[1]})")
         canon[key] = w
     edges = tuple(_shared((u, v, canon[(u, v)])) for (u, v) in sorted(canon))
-    nbrs: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    for u, v, w in edges:
-        nbrs[u].append(_shared((v, w)))
-        nbrs[v].append(_shared((u, w)))
-    adjacency = tuple(tuple(sorted(a)) for a in nbrs)
-    return Graph(n=n, edges=edges, adjacency=adjacency)
+    return Graph(n=n, edges=edges)
 
 
 def is_connected(g: Graph) -> bool:
     """Breadth-first reachability check from vertex 0."""
+    adjacency = g.adjacency
     seen = bytearray(g.n)
     seen[0] = 1
     queue = deque([0])
     count = 1
     while queue:
         u = queue.popleft()
-        for v, _ in g.adjacency[u]:
+        for v, _ in adjacency[u]:
             if not seen[v]:
                 seen[v] = 1
                 count += 1

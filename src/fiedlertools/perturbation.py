@@ -8,9 +8,10 @@ perturbed lambda2 follows a quadratic-root formula. Both limits are exposed
 here, as is the empirical check that the pendant stays extremal up to some
 anchor-dependent weight threshold.
 
-How a probe is computed. Callers probe one (graph, anchor) pair at many
-weights (bisection for a(v), sweeps, anchoring), so the base Laplacian is
-reduced once per anchor: with v ordered first, P'LP = QTQ' by Householder
+How a probe is computed. Single-anchor callers probe one (graph, anchor)
+pair at many weights (bisection for a(v), sweeps, anchoring, and the
+recovery probes of ``fcd.fcd_all``), so the base Laplacian is reduced once
+per anchor: with v ordered first, P'LP = QTQ' by Householder
 reflections, which never touch coordinate 0, so Q e_0 = e_0. One QL pass on
 T that rotates only the first row of the eigenvector matrix U gives T's
 eigenvalues theta_j and the spectral weights w_j = U_0j^2 of e_0; theta_0
@@ -33,24 +34,44 @@ is kept in a single-entry memo keyed on the graph object and the anchor.
 ``fiedler(attach_pendant(g, v, x))`` computes the same pair from scratch,
 with ``eigen.smallest_three``'s Sturm bisection on the dense augmented
 Laplacian in place of the secular equation.
+
+Probes at every anchor (``fcd.fcd_all``) share one eigendecomposition of L
+instead (``graph_spectrum``): its eigenvalues are the poles for every
+anchor, and row v of its eigenvectors gives anchor v's weights.
+``pendant_extremal_batch`` answers a batch of (anchor, weight) probes with
+one batched secular solve and one matrix product for the vectors, then
+applies the checks of ``perturbed_fiedler`` row by row, with the
+tolerances and the extremality rule written once for both routes. A row
+it cannot vouch for is left to ``perturbed_fiedler``.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .eigen import (
+    _EPS,
     ConvergenceError,
     _accumulate_q,
     _householder,
     _ql_implicit,
+    eig_sym,
     rank_one_smallest_three,
+    residual_bound,
+    secular_first_roots,
     tridiagonal_lambda2_vector,
 )
 from .graphs import Graph, build_graph, laplacian, require_connected
-from .spectral import checked_fiedler, fiedler, rayleigh_edge_sum
+from .spectral import (
+    MIN_MEAN_ZERO_NORM,
+    checked_fiedler,
+    fiedler,
+    rayleigh_edge_sum,
+    rayleigh_tolerance,
+)
 
 # relative tolerance for "attains the maximum magnitude"
 EXTREMUM_TIE_TOL = 1e-12
@@ -95,6 +116,7 @@ class _AnchorReduction:
     """
 
     L: np.ndarray
+    linf: float
     d: np.ndarray
     e: np.ndarray
     basis: np.ndarray
@@ -121,12 +143,37 @@ def _anchor_reduction(g: Graph, v: int) -> _AnchorReduction:
     first[0] = 1.0
     theta, first = _ql_implicit(d, e, first)
     red = _AnchorReduction(
-        L=L, d=d, e=e, basis=basis,
+        L=L, linf=float(np.max(np.abs(L))), d=d, e=e, basis=basis,
         poles=[0.0, 0.0] + theta[1:].tolist(),
         weights=[1.0] + (first * first).tolist(),
     )
     _last_reduction = (g, v, red)
     return red
+
+
+def _augmented_linf(linf, l_vv, x):
+    """max|M| of the pendant-augmented Laplacian from max|L|, L[v, v] and x.
+
+    M's entries are L's, with L[v, v] + x in place of L[v, v], and +-x;
+    L[v, v] >= 0, so this is exactly np.max(np.abs(M)). Elementwise on arrays.
+    """
+    return np.maximum(linf, l_vv + x)
+
+
+def _within_weyl(lam2, x):
+    """The Weyl bound lambda2(x) <= 2x, with slack; NaN fails it."""
+    return lam2 <= 2.0 * x + WEYL_SLACK
+
+
+def _pendant_is_extremum(phi: np.ndarray, tie_tol: float):
+    """The extremality rule of ``perturbed_fiedler`` along phi's last axis.
+
+    The last entry is the pendant's. Oriented so that it is nonnegative,
+    it must reach the largest other entry within tie_tol times max|phi|.
+    """
+    maxmag = np.max(np.abs(phi), axis=-1)
+    oriented = np.where(phi[..., -1:] >= 0.0, phi, -phi)
+    return oriented[..., -1] >= np.max(oriented[..., :-1], axis=-1) - tie_tol * maxmag
 
 
 def perturbed_fiedler(
@@ -160,23 +207,22 @@ def perturbed_fiedler(
     M[v, v] += x
     M[v, n] = M[n, v] = -x
     M[n, n] = x
+    linf = float(_augmented_linf(red.linf, red.L[v, v], x))
     lam1, lam2, lam3, phi = tridiagonal_lambda2_vector(
         d, e, rank_one_smallest_three(red.poles, red.weights, x),
-        lambda z: np.append(red.basis @ z[1:], z[0]), M,
+        lambda z: np.append(red.basis @ z[1:], z[0]), M, linf,
     )
     res = checked_fiedler(
         lam1, lam2, lam3, phi,
         lambda p: rayleigh_edge_sum(g, p) + x * (p[v] - p[n]) ** 2,
-        float(np.max(np.abs(M))),
+        linf,
     )
     phi = res.phi
+    is_extremum = bool(_pendant_is_extremum(phi, tie_tol))
     maxmag = float(np.max(np.abs(phi)))
-    oriented = phi if phi[n] >= 0.0 else -phi
-    is_extremum = float(oriented[n]) >= float(np.max(oriented[:n])) - tie_tol * maxmag
-    pendant_mag = abs(float(phi[n]))
-    if pendant_mag >= maxmag * (1.0 - tie_tol) and phi[n] < 0.0:
+    if abs(float(phi[n])) >= maxmag * (1.0 - tie_tol) and phi[n] < 0.0:
         phi = -phi
-    if res.lambda2 > 2.0 * x + WEYL_SLACK:
+    if not _within_weyl(res.lambda2, x):
         raise ConvergenceError(
             f"computed lambda2 {res.lambda2!r} violates the bound 2x = {2.0 * x!r}"
         )
@@ -187,6 +233,121 @@ def perturbed_fiedler(
         new_vertex_is_extremum=is_extremum,
         gap=res.gap,
     )
+
+
+class GraphSpectrum(NamedTuple):
+    """One eigendecomposition L = U diag(theta) U' shared by probes at every anchor.
+
+    theta[0] is set to 0 (the constant vector's eigenvalue). ``linf`` is
+    max|L|; ``tails``/``heads``/``weights`` are the edge list as arrays, for
+    the edge-sum Rayleigh check.
+    """
+
+    L: np.ndarray
+    linf: float
+    theta: np.ndarray
+    U: np.ndarray
+    tails: np.ndarray
+    heads: np.ndarray
+    weights: np.ndarray
+
+
+def graph_spectrum(g: Graph) -> GraphSpectrum | None:
+    """The spectrum batched probes need, or None where it cannot serve them.
+
+    None when g has one vertex, when ``eig_sym`` fails, or when theta_1 is
+    not resolved: theta_1 <= 64 n eps max|L|, as on a path whose weights
+    span 16 decades. The pendant's secular equation needs theta_1 clear of
+    its pole at 0, so such graphs take the per-anchor route.
+    """
+    if g.n < 2:
+        return None
+    L = laplacian(g)
+    linf = float(np.max(np.abs(L)))
+    try:
+        spectrum = eig_sym(L)
+    except ConvergenceError:
+        return None
+    theta = spectrum.eigenvalues
+    if not theta[1] > 64.0 * g.n * _EPS * linf:
+        return None
+    theta[0] = 0.0
+    tails, heads, weights = zip(*g.edges)
+    return GraphSpectrum(
+        L=L, linf=linf, theta=theta, U=spectrum.eigenvectors,
+        tails=np.array(tails), heads=np.array(heads), weights=np.array(weights),
+    )
+
+
+def pendant_extremal_batch(
+    s: GraphSpectrum, vs: np.ndarray, xs: np.ndarray, tie_tol: float = EXTREMUM_TIE_TOL
+) -> tuple[np.ndarray, np.ndarray]:
+    """Extremality flags of probes at anchors vs[r] with weights xs[r], from one spectrum.
+
+    In L's eigenbasis a probe is diag(0, theta) + x z z' with z = (-1, U'e_v)
+    (pendant first), so lambda_2 is the secular root in (0, theta_1) of
+    1/x - (1 + w_0)/mu + sum_{j>=1} w_j/(theta_j - mu), w_j = U[v, j]^2,
+    solved for all rows at once (``eigen.secular_first_roots``). The vector
+    is U (theta - mu)^-1 U'e_v on the base vertices and 1/mu on the pendant,
+    one (rows x n)(n x n) product for the batch. Each row then passes the
+    checks of ``perturbed_fiedler`` with the same thresholds: the residual
+    against the augmented Laplacian (from L and x), the mean-zero
+    projection and collapse check, the edge-sum Rayleigh check, the Weyl
+    bound 2x, and the extremality rule with tie_tol.
+
+    Returns (flags, ok). ok[r] is False where the row must be answered by
+    ``perturbed_fiedler`` instead: a check failed, the root did not
+    converge, or lambda_2 may be a deflated pole. Poles deflate as in
+    ``eigen.rank_one_smallest_three`` (x |U[v, j]| <= 8 eps max(theta_max,
+    x)); a deflated pole below the first kept one, or theta_1 within that
+    tolerance of 0, leaves lambda_2 outside the interval solved here.
+    """
+    theta, U = s.theta, s.U
+    n = theta.size
+    Uv = U[vs]
+    tol = 8.0 * _EPS * np.maximum(theta[-1], xs)
+    kept = xs[:, None] * np.abs(Uv[:, 1:]) > tol[:, None]
+    first_kept = theta[1 + np.argmax(kept, axis=1)]
+    ok = kept.any(axis=1) & (first_kept == theta[1]) & (theta[1] > tol)
+    flags = np.zeros(vs.size, dtype=bool)
+    r = np.flatnonzero(ok)
+    if r.size == 0:
+        return flags, ok
+    v, x, Uv = vs[r], xs[r], Uv[r]
+    # the pendant's pole 0 carries weight 1 + w_0; deflated poles carry none
+    c = Uv * Uv
+    c[:, 0] += 1.0
+    c[:, 1:] *= kept[r]
+    origin, tau, done = secular_first_roots(theta, c, x)
+    mu = origin + tau
+    delta = (theta - origin[:, None]) - tau[:, None]
+    phi = np.empty((r.size, n + 1))
+    phi[:, :n] = (Uv / delta) @ U.T
+    phi[:, n] = -1.0 / delta[:, 0]
+    phi /= np.sqrt((phi * phi).sum(axis=1))[:, None]
+    # residual against M = [[L + x e_v e_v', -x e_v], [-x e_v', x]]
+    rows = np.arange(r.size)
+    coupling = x * (phi[rows, v] - phi[:, n])
+    res = np.empty_like(phi)
+    res[:, :n] = phi[:, :n] @ s.L
+    res[rows, v] += coupling
+    res[:, n] = -coupling
+    res -= mu[:, None] * phi
+    linf = _augmented_linf(s.linf, s.L[v, v], x)
+    good = done & (np.sqrt((res * res).sum(axis=1)) <= residual_bound(linf, n + 1))
+    # the checks of spectral.checked_fiedler, row by row
+    phi -= phi.mean(axis=1, keepdims=True)
+    nrm = np.sqrt((phi * phi).sum(axis=1))
+    good &= nrm >= MIN_MEAN_ZERO_NORM
+    phi /= nrm[:, None]
+    phi[phi[rows, np.argmax(np.abs(phi), axis=1)] < 0.0] *= -1.0
+    diff = phi[:, s.tails] - phi[:, s.heads]
+    quotient = (diff * diff) @ s.weights + x * (phi[rows, v] - phi[:, n]) ** 2
+    good &= np.abs(mu - quotient) <= rayleigh_tolerance(linf, n + 1)
+    good &= _within_weyl(mu, x)
+    flags[r] = _pendant_is_extremum(phi, tie_tol)
+    ok[r] = good
+    return flags & ok, ok
 
 
 def sweep(g: Graph, v: int, xs, tie_tol: float = EXTREMUM_TIE_TOL) -> list[PerturbedFiedler]:

@@ -13,6 +13,9 @@ from .graphs import Graph, laplacian, require_connected
 DEGENERATE_GAP = 1e-8
 # relative separation required of a "simple" eigenvalue in perturbation formulas
 SIMPLE_GAP = 1e-8
+# a unit candidate vector whose mean-zero part is shorter than this has
+# collapsed onto the constant kernel vector
+MIN_MEAN_ZERO_NORM = 0.5
 
 
 @dataclass
@@ -48,6 +51,15 @@ def rayleigh_edge_sum(g: Graph, phi: np.ndarray) -> float:
     return total
 
 
+def rayleigh_tolerance(linf, n: int):
+    """Largest accepted |lambda2 - edge-sum quotient| for an order-n Laplacian with max|L| = linf.
+
+    Shared by ``checked_fiedler`` and the batched pendant probe; ``linf``
+    may be an array, one tolerance per row.
+    """
+    return np.maximum(1e-9, 64.0 * np.finfo(float).eps * linf * n)
+
+
 def checked_fiedler(
     lam1: float, lam2: float, lam3: float, phi: np.ndarray, edge_sum, linf: float
 ) -> FiedlerResult:
@@ -64,13 +76,13 @@ def checked_fiedler(
     phi = phi - phi.mean()
     nrm = math.sqrt(float(np.dot(phi, phi)))
     # comparisons written so that NaN fails them
-    if not nrm >= 0.5:
+    if not nrm >= MIN_MEAN_ZERO_NORM:
         raise ConvergenceError(
             "candidate Fiedler vector collapsed onto the constant kernel vector"
         )
     phi = _fix_sign(phi / nrm)
     quotient = edge_sum(phi)
-    if not abs(lam2 - quotient) <= max(1e-9, 64.0 * np.finfo(float).eps * linf * n):
+    if not abs(lam2 - quotient) <= rayleigh_tolerance(linf, n):
         raise ConvergenceError(
             f"Rayleigh quotient {quotient!r} disagrees with eigenvalue {lam2!r}"
         )

@@ -246,18 +246,44 @@ def test_shape_rejects_bad_mask(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_console_script_help():
+def _console_script(args, **env_extra):
+    """Run the console script, or the module the same way when not installed."""
     exe = shutil.which("fiedlertools")
-    env = None
+    env = dict(os.environ, **env_extra)
     if exe is None:
-        # not installed: run the module the way the console script would
-        cmd = [sys.executable, "-m", "fiedlertools.cli", "--help"]
+        cmd = [sys.executable, "-m", "fiedlertools.cli"] + args
         src = str(Path(fiedlertools.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p
-        ))
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     else:
-        cmd = [exe, "--help"]
-    proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
+        cmd = [exe] + args
+    return subprocess.run(cmd, capture_output=True, text=True, env=env)
+
+
+def test_console_script_help():
+    proc = _console_script(["--help"])
     assert proc.returncode == 0
     assert "perturb-sweep" in proc.stdout
+
+
+def test_csvs_do_not_depend_on_blas_threads(tmp_path):
+    # fcd_all's batched products go through BLAS; the CSVs must not change
+    # with the number of threads BLAS may use
+    graph = tmp_path / "g.edges"
+    write_edgelist(generate("gnm", 90, 250, seed=4), graph)
+    invocations = [
+        ["fcd", str(graph)],
+        ["centrality-experiment", "--n", "20", "--m-range", "30:160:65", "--graphs-per-m", "2"],
+    ]
+    for idx, argv in enumerate(invocations):
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"run{idx}_{threads}"
+            proc = _console_script(
+                ["--out-dir", str(out), "--seed", "3"] + argv, OPENBLAS_NUM_THREADS=threads
+            )
+            assert proc.returncode == 0, proc.stderr
+            outs.append(out)
+        names = sorted(p.name for p in outs[0].glob("*.csv"))
+        assert names
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), (argv[0], name)

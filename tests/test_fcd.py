@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from fiedlertools import fcd
+from fiedlertools import fcd, perturbation
 from fiedlertools.eigen import ConvergenceError
 from fiedlertools.fcd import (
     AbarSweep,
@@ -142,25 +142,119 @@ def test_relabeling_permutes_fcd():
             assert abs(math.log10(a.a_v) - math.log10(b.a_v)) < 2e-3
 
 
+def _same_row(a, b):
+    return (
+        a.v == b.v
+        and a.boundary_flag == b.boundary_flag
+        and a.steps == b.steps
+        and (a.a_v == b.a_v or (math.isnan(a.a_v) and math.isnan(b.a_v)))
+        and (a.fcd == b.fcd or (math.isnan(a.fcd) and math.isnan(b.fcd)))
+    )
+
+
 def test_fcd_all_parallel_matches_serial():
-    g = generate("gnm", 10, 16, seed=1)
-    serial = fcd_all(g)
-    parallel = fcd_all(g, workers=2)
-    for a, b in zip(serial, parallel):
-        assert a.v == b.v
-        assert a.boundary_flag == b.boundary_flag
-        assert a.fcd == pytest.approx(b.fcd, abs=1e-12)
+    for g in (generate("gnm", 10, 16, seed=1), generate("gnm", 20, 60, seed=2)):
+        serial = fcd_all(g)
+        parallel = fcd_all(g, workers=2)
+        assert len(serial) == len(parallel) == g.n
+        for a, b in zip(serial, parallel):
+            assert a.v == b.v
+            assert a.boundary_flag == b.boundary_flag
+            assert a.fcd == pytest.approx(b.fcd, abs=1e-12)
+            assert _same_row(a, b), (a, b)
+
+
+def _reference_row(g, v):
+    try:
+        return a_of_v(g, v)
+    except FcdSearchError:
+        return FcdResult(v=v, a_v=math.nan, fcd=math.nan, steps=0, boundary_flag="hit_xmin")
+    except ConvergenceError:
+        return FcdResult(v=v, a_v=math.nan, fcd=math.nan, steps=0, boundary_flag="not_converged")
+
+
+def _gnm_grid():
+    # the correlation experiment's graphs: G(20, m) over its m grid
+    return [generate("gnm", 20, m, seed=seed) for m in range(30, 161, 10) for seed in (11, 12)]
+
+
+def _weighted_gnm():
+    rng = np.random.default_rng(5)
+    out = []
+    for seed, (n, m) in enumerate([(5, 6), (9, 14), (14, 30), (23, 40), (29, 90)]):
+        g = generate("gnm", n, m, seed=seed)
+        out.append(build_graph(n, [(u, v, 10.0 ** rng.uniform(-2, 2)) for u, v, _ in g.edges]))
+    return out
+
+
+def test_fcd_all_rows_equal_single_vertex_searches():
+    # the lockstep search makes a_of_v's probes, so flags, thresholds and
+    # step counts agree exactly, not just within the bisection width
+    for g in _gnm_grid() + _weighted_gnm():
+        rows = fcd_all(g)
+        assert isinstance(rows, fcd.FcdTable) and len(rows) == g.n
+        for v in range(g.n):
+            assert _same_row(rows[v], _reference_row(g, v)), (g.n, g.num_edges, v)
+
+
+def test_fcd_all_sends_few_probes_to_the_single_anchor_route(monkeypatch):
+    calls = []
+    spectra = []
+    real = fcd.perturbed_fiedler
+    real_eig = perturbation.eig_sym
+
+    def counting(g, v, x, tie_tol):
+        calls.append((v, x))
+        return real(g, v, x, tie_tol)
+
+    def counting_eig(M):
+        spectra.append(M.shape)
+        return real_eig(M)
+
+    monkeypatch.setattr(fcd, "perturbed_fiedler", counting)
+    monkeypatch.setattr(perturbation, "eig_sym", counting_eig)
+    graphs = _gnm_grid()
+    probes = 0
+    for g in graphs:
+        rows = fcd_all(g)
+        for flag, steps in zip(rows.boundary_flag, rows.steps):
+            assert flag in ("interior", "hit_xmax")
+            probes += 2 + int(steps)
+    # one eigendecomposition per graph; recovery probes are the only others
+    assert len(spectra) == len(graphs)
+    assert probes > 3000
+    assert len(calls) < 0.02 * probes, (len(calls), probes)
+
+
+def test_fcd_all_table_columns():
+    g = generate("path", 10)
+    rows = fcd_all(g)
+    assert [r.v for r in rows] == list(range(10))
+    assert np.array_equal(rows.fcd, np.array([r.fcd for r in rows]))
+    assert np.array_equal(rows.a_v, np.array([r.a_v for r in rows]))
+    assert list(rows.steps) == [r.steps for r in rows]
+    assert list(rows.boundary_flag) == [r.boundary_flag for r in rows]
+    assert rows[-1] == rows[9]
+    with pytest.raises(IndexError):
+        rows[10]
 
 
 def test_fcd_all_reports_nonconverged_vertex(monkeypatch):
     real = fcd.perturbed_fiedler
+    real_batch = fcd.pendant_extremal_batch
 
     def failing_at_2(g, v, x, tie_tol):
         if v == 2:
             raise ConvergenceError("probe failed")
         return real(g, v, x, tie_tol)
 
+    def batch_failing_at_2(spectrum, vs, xs, tie_tol):
+        # the batched probe hands anchor 2 to perturbed_fiedler
+        flags, ok = real_batch(spectrum, vs, xs, tie_tol)
+        return flags, ok & (vs != 2)
+
     monkeypatch.setattr(fcd, "perturbed_fiedler", failing_at_2)
+    monkeypatch.setattr(fcd, "pendant_extremal_batch", batch_failing_at_2)
     g = generate("path", 6)
     rows = fcd_all(g)
     assert [r.boundary_flag == "not_converged" for r in rows] == [v == 2 for v in range(6)]
